@@ -24,8 +24,7 @@ class TrivialEngine:
         self.state = ColoringState()
 
     def insert(self, interval: Interval) -> None:
-        self.state.ledger.begin()
-        self.state.add(interval)
+        self.state.begin_insert(interval)
         used = set()
         for other in self.state.intervals.values():
             if other.id != interval.id and other.intersects(interval):
@@ -36,7 +35,7 @@ class TrivialEngine:
         self.state.set_color(interval.id, Color(0, j))
 
     def delete(self, iid: int) -> None:
-        self.state.ledger.begin()
+        self.state.begin_delete(iid)
         self.state.remove(iid)
 
 
@@ -48,13 +47,12 @@ class UniqueColorEngine:
         self._counter = 0
 
     def insert(self, interval: Interval) -> None:
-        self.state.ledger.begin()
-        self.state.add(interval)
+        self.state.begin_insert(interval)
         self.state.set_color(interval.id, Color(0, self._counter))
         self._counter += 1
 
     def delete(self, iid: int) -> None:
-        self.state.ledger.begin()
+        self.state.begin_delete(iid)
         self.state.remove(iid)
 
 
@@ -91,8 +89,7 @@ class ComponentFirstFitEngine:
         }
 
     def insert(self, interval: Interval) -> None:
-        self.state.ledger.begin()
-        self.state.add(interval)
+        self.state.begin_insert(interval)
         used = self._component_colors(interval)
         j = 0
         while Color(0, j) in used:

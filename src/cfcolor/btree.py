@@ -151,16 +151,12 @@ def node_extremes(node: BNode) -> list[Interval]:
     return out
 
 
-def validate_structure(
-    root: BNode, t: int, coord: CoordFn = _ident, allow_empty: bool = True
-) -> None:
+def validate_structure(root: BNode, t: int) -> None:
     """Check key counts, fanout, level bookkeeping, and search order."""
     if not root.keys:
-        if not (allow_empty and root.is_leaf):
+        if not root.is_leaf:
             raise InvariantError("empty root in a non-empty tree")
         return
-
-    leaf_levels = set()
 
     def walk(v: BNode, lo: Key | None, hi: Key | None, is_root: bool) -> None:
         if not is_root and not (t - 1 <= len(v.keys) <= 2 * t - 1):
@@ -179,7 +175,6 @@ def validate_structure(
         if v.is_leaf:
             if v.level != 0:
                 raise InvariantError(f"leaf carries level {v.level}")
-            leaf_levels.add(v.level)
             return
         if len(v.children) != len(v.keys) + 1:
             raise InvariantError("internal node fanout mismatch")

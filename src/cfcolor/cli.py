@@ -23,6 +23,7 @@ import os
 import random
 import sys
 import time
+from typing import TextIO
 
 from .adversary import check_tradeoff, run_general_adversary, run_local_adversary
 from .core import (
@@ -34,8 +35,11 @@ from .core import (
     Insert,
     Interval,
     InvariantError,
+    Op,
     TraceError,
+    format_color,
     format_number,
+    format_op,
     is_conflict_free_fast,
     parse_number,
     parse_trace,
@@ -48,12 +52,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
-
-
-def _color_token(color: Color) -> str:
-    if color.is_dummy():
-        return "dummy"
-    return f"{color.level} {color.index}"
 
 
 def _read_text(path: str) -> str:
@@ -80,10 +78,6 @@ class _Out:
         return False
 
 
-def _interval_line(iv: Interval) -> str:
-    return f"I {iv.id} {format_number(iv.left)} {format_number(iv.right)}"
-
-
 # ------------------------------------------------------------------- run
 
 
@@ -104,19 +98,10 @@ def cmd_run(args) -> int:
     engine = build_engine(_method_from_args(args))
     ops = parse_trace(_read_text(args.trace).splitlines())
     with _Out(args.out) as out:
-        def hook(iid: int, color: Color, is_recolor: bool) -> None:
-            tag = "R" if is_recolor else "A"
-            out.write(f"{tag} {iid} {_color_token(color)}\n")
-
-        engine.state.on_assign = hook
+        recorder = _RecordingEngine(engine, out)
         state = engine.state
         for op in ops:
-            if isinstance(op, Insert):
-                out.write(_interval_line(op.interval) + "\n")
-                engine.insert(op.interval)
-            else:
-                out.write(f"D {op.id}\n")
-                engine.delete(op.id)
+            recorder.apply(op)
             if args.audit == "every":
                 verdict = is_conflict_free_fast(
                     state.intervals.values(), state.assignment
@@ -169,7 +154,7 @@ def cmd_gen(args) -> int:
                 out.write(line + "\n")
         elif args.kind == "nested-lb":
             for iv in nested_lowerbound_instance(args.n):
-                out.write(_interval_line(iv) + "\n")
+                out.write(format_op(Insert(iv)) + "\n")
         elif args.kind == "bounded-length":
             if args.block is None:
                 raise EngineError("bounded-length needs --L")
@@ -435,15 +420,18 @@ def cmd_verify(args) -> int:
 
 
 class _RecordingEngine:
-    """Engine proxy that echoes operations and assignments to a buffer."""
+    """Engine proxy that echoes I/D operations and A/R assignments to a sink.
 
-    def __init__(self, engine, buffer: io.StringIO):
+    `cfcolor run` and `cfcolor adversary` both write their logs through it.
+    """
+
+    def __init__(self, engine, sink: TextIO):
         self.engine = engine
-        self.buffer = buffer
+        self.sink = sink
 
         def hook(iid: int, color: Color, is_recolor: bool) -> None:
             tag = "R" if is_recolor else "A"
-            buffer.write(f"{tag} {iid} {_color_token(color)}\n")
+            sink.write(f"{tag} {iid} {format_color(color)}\n")
 
         engine.state.on_assign = hook
 
@@ -451,13 +439,18 @@ class _RecordingEngine:
     def state(self):
         return self.engine.state
 
+    def apply(self, op: Op) -> None:
+        self.sink.write(format_op(op) + "\n")
+        if isinstance(op, Insert):
+            self.engine.insert(op.interval)
+        else:
+            self.engine.delete(op.id)
+
     def insert(self, interval: Interval) -> None:
-        self.buffer.write(_interval_line(interval) + "\n")
-        self.engine.insert(interval)
+        self.apply(Insert(interval))
 
     def delete(self, iid: int) -> None:
-        self.buffer.write(f"D {iid}\n")
-        self.engine.delete(iid)
+        self.apply(Delete(iid))
 
     def __getattr__(self, name):
         return getattr(self.engine, name)
@@ -503,7 +496,7 @@ def cmd_kinetic(args) -> int:
     km = KineticMaintainer(trajs, 0.0, args.until, exact=args.exact)
     with _Out(args.out) as out:
         for iid in sorted(km.colors):
-            out.write(f"A {iid} {_color_token(km.colors[iid])}\n")
+            out.write(f"A {iid} {format_color(km.colors[iid])}\n")
         last_eval = None
         while True:
             rec = km.step()
@@ -517,7 +510,7 @@ def cmd_kinetic(args) -> int:
                 )
             )
             for iid, color in rec.recolored:
-                out.write(f"R {iid} {_color_token(color)}\n")
+                out.write(f"R {iid} {format_color(color)}\n")
             if args.audit == "every":
                 boundary = (
                     km.cursor >= len(km.events)

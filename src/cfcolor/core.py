@@ -204,6 +204,27 @@ class ColoringState:
             raise EngineError(f"duplicate insert id {interval.id}")
         self.intervals[interval.id] = interval
 
+    def begin_insert(self, interval: Interval) -> None:
+        """Open an insert: reject a duplicate id, begin a ledger record, add.
+
+        Engines run their own input checks before this call, so a rejected
+        insert leaves the state and the ledger as they were.
+        """
+        if interval.id in self.intervals:
+            raise EngineError(f"duplicate insert id {interval.id}")
+        self.ledger.begin()
+        self.intervals[interval.id] = interval
+
+    def begin_delete(self, interval_id: int) -> Interval:
+        """Open a delete: reject an unknown id, then begin a ledger record.
+
+        The engine calls remove() once its own structures let go of the id.
+        """
+        if interval_id not in self.intervals:
+            raise EngineError(f"delete of unknown id {interval_id}")
+        self.ledger.begin()
+        return self.intervals[interval_id]
+
     def remove(self, interval_id: int) -> Interval:
         if interval_id not in self.intervals:
             raise EngineError(f"delete of unknown id {interval_id}")

@@ -8,7 +8,9 @@ whose anchor that can change is staged out first, the key surgery runs,
 and the staged intervals are re-located from the root.  Every node whose
 bucket content may have changed is rechained: its per-slot extreme
 intervals get a fresh chain coloring from the node's 2-color level
-palette, everything else at the node goes dummy.
+palette, everything else at the node goes dummy.  The palette rule, the
+chain coloring and the per-node audit come from `LevelPaletteTree` in
+`engine_fixed`, shared with the fixed-universe engines.
 
 The epsilon variant rebuilds the whole tree with minimum degree about
 n^eps whenever the live count leaves [n_last/2, 2*n_last]; recolorings
@@ -26,18 +28,14 @@ from .btree import (
     locate,
     node_extremes,
     node_pool,
-    validate_structure,
 )
-from .chain import build_chain, color_chain, connected_components
 from .core import (
-    DUMMY,
-    Color,
     ColoringState,
     EngineError,
     Interval,
     InvariantError,
-    is_conflict_free,
 )
+from .engine_fixed import LevelPaletteTree
 
 __all__ = ["DynamicEngine", "EpsilonEngine"]
 
@@ -56,7 +54,7 @@ class _Batch:
         self.dropped: set[BNode] = set()
 
 
-class DynamicEngine:
+class DynamicEngine(LevelPaletteTree):
     """Chain-per-node coloring over a self-balancing endpoint B-tree."""
 
     def __init__(self, t: int = 2) -> None:
@@ -69,13 +67,8 @@ class DynamicEngine:
 
     # ------------------------------------------------------------- public
 
-    @property
-    def height(self) -> int:
-        return self.root.level
-
     def insert(self, interval: Interval) -> None:
-        self.state.ledger.begin()
-        self.state.add(interval)
+        self.state.begin_insert(interval)
         if self._maybe_rebuild():
             return
         batch = _Batch()
@@ -88,10 +81,7 @@ class DynamicEngine:
         self._rechain(batch)
 
     def delete(self, iid: int) -> None:
-        if iid not in self.state.intervals:
-            raise EngineError(f"unknown interval id {iid}")
-        self.state.ledger.begin()
-        interval = self.state.intervals[iid]
+        interval = self.state.begin_delete(iid)
         # disassociate first so the dying interval never migrates
         home = self._anchor.pop(iid)
         self._remove_from_node(home, iid)
@@ -114,21 +104,6 @@ class DynamicEngine:
         self.state.ledger.begin()
         batch = _Batch()
         self._split_child(parent, ci, batch)
-        self._rechain(batch)
-
-    def merge_children(self, parent: BNode, si: int) -> BNode:
-        """Merge the children around separator si; rechains afterwards."""
-        self.state.ledger.begin()
-        batch = _Batch()
-        merged = self._merge_children(parent, si, batch)
-        self._rechain(batch)
-        return merged
-
-    def borrow_from_sibling(self, parent: BNode, ci: int, from_left: bool) -> None:
-        """Rotate one key through the separator into child ci; rechains."""
-        self.state.ledger.begin()
-        batch = _Batch()
-        self._borrow(parent, ci, from_left, batch)
         self._rechain(batch)
 
     # ------------------------------------------------------- key insertion
@@ -370,22 +345,13 @@ class DynamicEngine:
             self._rechain_node(v)
 
     def _rechain_node(self, v: BNode, rebuild: bool = False) -> None:
-        palette = [Color(v.level, 0), Color(v.level, 1)]
-        target: dict[int, Color] = {iv.id: DUMMY for iv in node_pool(v)}
-        for comp in connected_components(node_extremes(v)):
-            target.update(color_chain(build_chain(comp), comp, palette))
-        for iid in sorted(target):
-            self.state.set_color(iid, target[iid], rebuild=rebuild)
-
-    def max_colors(self) -> int:
-        """Dummy plus 2 colors per level of the current tree."""
-        return 1 + 2 * (self.height + 1)
+        self._chain_extremes(v, node_extremes(v), node_pool(v), rebuild)
 
     # ------------------------------------------------------------- checks
 
     def audit(self) -> None:
-        """Structure, anchoring, and per-node coloring invariants."""
-        validate_structure(self.root, self.t, _coord)
+        """Per-node framework invariants, then endpoint keys, anchors, height."""
+        super().audit()
         n = self.state.n
         keys = [k for v in iter_nodes(self.root) for k in v.keys]
         if len(keys) != 2 * n:
@@ -398,30 +364,16 @@ class DynamicEngine:
             raise InvariantError("tree keys out of sync with live endpoints")
         if n >= 1 and self.height >= 1 and self.t**self.height > n:
             raise InvariantError(f"height {self.height} too large for {n} intervals")
-
-        seen = set()
-        for v in iter_nodes(self.root):
-            ext_ids = {iv.id for iv in node_extremes(v)}
-            pool = node_pool(v)
-            colors = {}
-            for iv in pool:
-                seen.add(iv.id)
-                if self._anchor.get(iv.id) is not v:
-                    raise InvariantError(f"anchor map stale for {iv.id}")
-                av, aslot = locate(self.root, iv, _coord)
-                if av is not v or iv.id not in v.buckets[aslot]:
-                    raise InvariantError(f"interval {iv.id} bucketed off its anchor")
-                c = self.state.color_of(iv.id)
-                colors[iv.id] = c
-                if iv.id not in ext_ids and not c.is_dummy():
-                    raise InvariantError(f"non-extreme {iv.id} wears {c}")
-                if not c.is_dummy() and (c.level != v.level or c.index not in (0, 1)):
-                    raise InvariantError(f"{iv.id} wears {c}, not a level-{v.level} color")
-            verdict = is_conflict_free(pool, colors)
-            if not verdict:
-                raise InvariantError(f"node not locally conflict-free at {verdict.witness}")
-        if seen != set(self.state.intervals):
-            raise InvariantError("bucketed intervals out of sync with live set")
+        if self._anchor.keys() != self.state.intervals.keys():
+            raise InvariantError("anchor map out of sync with live set")
+        # the base audit found each live interval in exactly one bucket; it
+        # must be the bucket that locate() picks, at the anchored node
+        for iid, v in self._anchor.items():
+            av, aslot = locate(self.root, self.state.intervals[iid], _coord)
+            if av is not v:
+                raise InvariantError(f"anchor map stale for {iid}")
+            if iid not in v.buckets[aslot]:
+                raise InvariantError(f"interval {iid} bucketed off its anchor")
 
 
 class EpsilonEngine(DynamicEngine):

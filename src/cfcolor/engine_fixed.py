@@ -1,12 +1,16 @@
-"""Dynamic engines over a fixed integer universe.
+"""The level-palette B-tree framework and its fixed-universe engines.
 
-The B-tree skeleton over {0, ..., U-1} is built once and never changes, so
-updates only move intervals in and out of buckets.  Both engines follow
-the same framework: per tree level a disjoint palette, per node only the
-per-slot extreme intervals get real colors, everything else is dummy.
-Local conflict-freeness at every node then yields global conflict-freeness.
+Both the fixed engines here and the dynamic engines of `engine_dynamic`
+color intervals the same way, through the `LevelPaletteTree` base class:
+per tree level a disjoint palette, per node only the per-slot extreme
+intervals get real colors, everything else is dummy.  Local
+conflict-freeness at every node then yields global conflict-freeness.  The
+base class holds the palette rule, the color bound, chain-coloring a node's
+extremes and the per-node audit.
 
-Two palette disciplines are provided:
+Over a fixed integer universe {0, ..., U-1} the B-tree skeleton is built
+once and never changes, so updates only move intervals in and out of
+buckets.  Two palette disciplines are provided:
 
 * distinct colors: each extreme holds a color of its level palette (size
   4t-2) not used by any other extreme at the node; at most 2 recolorings
@@ -17,6 +21,8 @@ Two palette disciplines are provided:
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .btree import (
     BNode,
     build_tree,
@@ -24,15 +30,93 @@ from .btree import (
     locate,
     node_extremes,
     node_pool,
+    slot_extremes,
     validate_structure,
 )
 from .chain import build_chain, color_chain, connected_components
 from .core import DUMMY, Color, ColoringState, EngineError, Interval, InvariantError, is_conflict_free
 
-__all__ = ["FixedDistinctEngine", "FixedChainEngine"]
+__all__ = ["LevelPaletteTree", "FixedDistinctEngine", "FixedChainEngine"]
 
 
-class _FixedBase:
+class LevelPaletteTree:
+    """Coloring framework over a B-tree whose level l owns palette l.
+
+    Subclasses provide `root`, `t` and `state`, and keep every live
+    interval bucketed at exactly one node.
+    """
+
+    root: BNode
+    t: int
+    state: ColoringState
+
+    @property
+    def height(self) -> int:
+        return self.root.level
+
+    def palette_size(self) -> int:
+        return 2
+
+    def max_colors(self) -> int:
+        """Dummy plus one palette per level."""
+        return 1 + self.palette_size() * (self.height + 1)
+
+    def _chain_extremes(
+        self,
+        v: BNode,
+        extremes: list[Interval],
+        dummies: Iterable[Interval] = (),
+        rebuild: bool = False,
+    ) -> dict[int, Color]:
+        """Chain-color v's extremes with the 2 colors of v's level, assign them.
+
+        Intervals in `dummies` that no chain covers go dummy in the same
+        pass; all assignments run in ascending id order.  Returns what was
+        assigned.
+        """
+        palette = [Color(v.level, 0), Color(v.level, 1)]
+        target = {iv.id: DUMMY for iv in dummies}
+        for comp in connected_components(extremes):
+            target.update(color_chain(build_chain(comp), comp, palette))
+        for iid in sorted(target):
+            self.state.set_color(iid, target[iid], rebuild=rebuild)
+        return target
+
+    def audit(self) -> None:
+        """Check the framework invariants on every node.
+
+        Per node: only level-palette colors appear, non-extremes are dummy,
+        and the node's own intervals are locally conflict-free.  Every live
+        interval is bucketed at exactly one node.
+        """
+        validate_structure(self.root, self.t)
+        seen: set[int] = set()
+        for v in iter_nodes(self.root):
+            ext_ids = {iv.id for iv in node_extremes(v)}
+            pool = node_pool(v)
+            colors = {}
+            for iv in pool:
+                if iv.id in seen:
+                    raise InvariantError(f"interval {iv.id} bucketed twice")
+                seen.add(iv.id)
+                c = self.state.color_of(iv.id)
+                colors[iv.id] = c
+                if iv.id not in ext_ids and not c.is_dummy():
+                    raise InvariantError(f"non-extreme {iv.id} wears {c}")
+                if not c.is_dummy() and (c.level != v.level or not 0 <= c.index < self.palette_size()):
+                    raise InvariantError(f"interval {iv.id} wears {c}, not a level-{v.level} color")
+            verdict = is_conflict_free(pool, colors)
+            if not verdict:
+                raise InvariantError(f"node not locally conflict-free at {verdict.witness}")
+            self._audit_node(v, ext_ids)
+        if seen != set(self.state.intervals):
+            raise InvariantError("bucketed intervals out of sync with live set")
+
+    def _audit_node(self, v: BNode, ext_ids: set[int]) -> None:
+        pass
+
+
+class _FixedBase(LevelPaletteTree):
     def __init__(self, universe: int, t: int = 2) -> None:
         if universe < 1:
             raise EngineError("universe size must be at least 1")
@@ -40,25 +124,21 @@ class _FixedBase:
             raise EngineError("minimum degree t must be at least 2")
         self.universe = universe
         self.t = t
-        self.root, self.height = build_tree(range(universe), t)
+        self.root, _ = build_tree(range(universe), t)
         self.state = ColoringState()
         self._anchor: dict[int, tuple[BNode, int]] = {}
         # cached (lo, hi) per bucket; safe because the skeleton never changes
         self._ext: dict[tuple[int, int], tuple[Interval, Interval]] = {}
 
     def _extremes(self, v: BNode, slot: int) -> tuple[Interval, ...]:
-        """slot_extremes with an O(1) cache; identical tie-breaking."""
+        """slot_extremes with an O(1) cache."""
         key = (id(v), slot)
         cached = self._ext.get(key)
         if cached is None:
-            bucket = v.buckets[slot]
-            if not bucket:
-                return ()
-            vals = bucket.values()
-            lo = min(vals, key=lambda iv: (iv.left, iv.id))
-            hi = max(vals, key=lambda iv: (iv.right, -iv.id))
-            cached = (lo, hi)
-            self._ext[key] = cached
+            ext = slot_extremes(v.buckets[slot])
+            if ext:
+                self._ext[key] = (ext[0], ext[-1])
+            return ext
         lo, hi = cached
         return (lo,) if lo.id == hi.id else (lo, hi)
 
@@ -97,45 +177,14 @@ class _FixedBase:
             if not 0 <= x <= self.universe - 1:
                 raise EngineError(f"endpoint {x} outside universe [0, {self.universe - 1}]")
 
-    def _locate(self, interval: Interval) -> tuple[BNode, int]:
-        return locate(self.root, interval)
-
-    def max_colors(self) -> int:
-        """Dummy plus one palette per level."""
-        return 1 + self.palette_size() * (self.height + 1)
-
-    def palette_size(self) -> int:
-        raise NotImplementedError
-
-    def audit(self) -> None:
-        """Check the framework invariants on every node.
-
-        Per node: only level-palette colors appear, non-extremes are dummy,
-        and the node's own intervals are locally conflict-free.
-        """
-        validate_structure(self.root, self.t)
-        seen = set()
-        for v in iter_nodes(self.root):
-            ext_ids = {iv.id for iv in node_extremes(v)}
-            pool = node_pool(v)
-            colors = {}
-            for iv in pool:
-                seen.add(iv.id)
-                c = self.state.color_of(iv.id)
-                colors[iv.id] = c
-                if iv.id not in ext_ids and not c.is_dummy():
-                    raise InvariantError(f"non-extreme {iv.id} wears {c}")
-                if not c.is_dummy() and (c.level != v.level or not 0 <= c.index < self.palette_size()):
-                    raise InvariantError(f"interval {iv.id} wears {c}, not a level-{v.level} color")
-            verdict = is_conflict_free(pool, colors)
-            if not verdict:
-                raise InvariantError(f"node not locally conflict-free at {verdict.witness}")
-            self._audit_node(v, ext_ids)
-        if seen != set(self.state.intervals):
-            raise InvariantError("bucketed intervals out of sync with live set")
-
     def _audit_node(self, v: BNode, ext_ids: set[int]) -> None:
-        pass
+        for slot, bucket in enumerate(v.buckets):
+            cached = self._ext.get((id(v), slot))
+            if cached is None:
+                continue
+            ext = slot_extremes(bucket)
+            if not ext or cached != (ext[0], ext[-1]):
+                raise InvariantError(f"extremes cache stale at level {v.level} slot {slot}")
 
 
 class FixedDistinctEngine(_FixedBase):
@@ -145,6 +194,7 @@ class FixedDistinctEngine(_FixedBase):
         return 4 * self.t - 2
 
     def _audit_node(self, v: BNode, ext_ids: set[int]) -> None:
+        super()._audit_node(v, ext_ids)
         used = []
         for iid in ext_ids:
             c = self.state.color_of(iid)
@@ -168,9 +218,8 @@ class FixedDistinctEngine(_FixedBase):
 
     def insert(self, interval: Interval) -> None:
         self._check(interval)
-        self.state.ledger.begin()
-        self.state.add(interval)
-        v, slot = self._locate(interval)
+        self.state.begin_insert(interval)
+        v, slot = locate(self.root, interval)
         old = self._extremes(v, slot)
         self._bucket_add(v, slot, interval)
         self._anchor[interval.id] = (v, slot)
@@ -185,9 +234,7 @@ class FixedDistinctEngine(_FixedBase):
             self.state.set_color(interval.id, DUMMY)
 
     def delete(self, iid: int) -> None:
-        if iid not in self._anchor:
-            raise EngineError(f"unknown interval id {iid}")
-        self.state.ledger.begin()
+        self.state.begin_delete(iid)
         v, slot = self._anchor.pop(iid)
         old_ids = {iv.id for iv in self._extremes(v, slot)}
         self._bucket_del(v, slot, iid)
@@ -205,30 +252,22 @@ class FixedChainEngine(_FixedBase):
         # ids wearing a non-dummy chain color, per node
         self._chained: dict[int, set[int]] = {}
 
-    def palette_size(self) -> int:
-        return 2
-
     def _rechain(self, v: BNode) -> None:
-        palette = [Color(v.level, 0), Color(v.level, 1)]
-        target: dict[int, Color] = {}
-        for comp in connected_components(self._node_extremes(v)):
-            target.update(color_chain(build_chain(comp), comp, palette))
+        extremes = self._node_extremes(v)
         # only previously chained intervals can need a demotion to dummy
         prev = self._chained.get(id(v), set())
-        for iid in sorted(prev - target.keys()):
+        for iid in sorted(prev - {iv.id for iv in extremes}):
             if iid in self.state.intervals:
                 self.state.set_color(iid, DUMMY)
-        for iid, color in sorted(target.items()):
-            self.state.set_color(iid, color)
+        target = self._chain_extremes(v, extremes)
         self._chained[id(v)] = {
             iid for iid, color in target.items() if not color.is_dummy()
         }
 
     def insert(self, interval: Interval) -> None:
         self._check(interval)
-        self.state.ledger.begin()
-        self.state.add(interval)
-        v, slot = self._locate(interval)
+        self.state.begin_insert(interval)
+        v, slot = locate(self.root, interval)
         self._bucket_add(v, slot, interval)
         self._anchor[interval.id] = (v, slot)
         if interval.id not in {iv.id for iv in self._extremes(v, slot)}:
@@ -236,9 +275,7 @@ class FixedChainEngine(_FixedBase):
         self._rechain(v)
 
     def delete(self, iid: int) -> None:
-        if iid not in self._anchor:
-            raise EngineError(f"unknown interval id {iid}")
-        self.state.ledger.begin()
+        self.state.begin_delete(iid)
         v, slot = self._anchor.pop(iid)
         self._bucket_del(v, slot, iid)
         self.state.remove(iid)

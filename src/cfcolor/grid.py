@@ -73,8 +73,7 @@ class GridEngine:
 
     def insert(self, interval: Interval) -> None:
         self._check(interval)
-        self.state.ledger.begin()
-        self.state.add(interval)
+        self.state.begin_insert(interval)
         x = self._register_point(interval)
         parity = self._parity(x)
         old = {iv.id for iv in self._extremes(x)}
@@ -95,9 +94,7 @@ class GridEngine:
             self.state.set_color(interval.id, DUMMY)
 
     def delete(self, iid: int) -> None:
-        if iid not in self._reg:
-            raise EngineError(f"unknown interval id {iid}")
-        self.state.ledger.begin()
+        self.state.begin_delete(iid)
         x = self._reg.pop(iid)
         parity = self._parity(x)
         old = {iv.id for iv in self._extremes(x)}

@@ -124,47 +124,44 @@ class OnlineNestedEngine:
             b += 1
         return None, (a, b)
 
+    def _placement(self, interval: Interval):
+        """Parent node (None at the top) and the sibling run interval swallows.
+
+        Raises EngineError if the family would stop being nested; changes
+        nothing.
+        """
+        parent = None
+        while True:
+            siblings = self._roots if parent is None else parent.children
+            container, run = self._partition(siblings, interval)
+            if container is None:
+                return parent, run
+            parent = container
+
     # ------------------------------------------------------------- updates
 
     def insert(self, interval: Interval) -> None:
-        self.state.ledger.begin()
-        self.state.add(interval)
+        parent, (a, b) = self._placement(interval)
+        self.state.begin_insert(interval)
         node = _Node(interval)
         self._nodes[interval.id] = node
-
-        container, run = self._partition(self._roots, interval)
-        if container is not None:
-            self._insert_contained(node, container)
-            self.state.set_color(interval.id, DUMMY)
-            return
-        a, b = run
-        adopted = self._roots[a:b]
-        label = self._choose_label(adopted)
-        node.label = label
-        for child in adopted:
-            child.parent = node
-        node.children = adopted
-        self._roots[a:b] = [node]
-        self._merge_tree_data(node, adopted, label)
-        self.state.set_color(interval.id, Color(0, label - 1))
-
-    def delete(self, iid: int) -> None:
-        raise EngineError("the nested greedy engine is insert-only")
-
-    def _insert_contained(self, node: _Node, parent: _Node) -> None:
-        interval = node.interval
-        while True:
-            container, run = self._partition(parent.children, interval)
-            if container is None:
-                break
-            parent = container
-        a, b = run
-        adopted = parent.children[a:b]
+        siblings = self._roots if parent is None else parent.children
+        adopted = siblings[a:b]
+        if parent is None:
+            node.label = self._choose_label(adopted)
         for child in adopted:
             child.parent = node
         node.children = adopted
         node.parent = parent
-        parent.children[a:b] = [node]
+        siblings[a:b] = [node]
+        if parent is not None:
+            self.state.set_color(interval.id, DUMMY)
+            return
+        self._merge_tree_data(node, adopted, node.label)
+        self.state.set_color(interval.id, Color(0, node.label - 1))
+
+    def delete(self, iid: int) -> None:
+        raise EngineError("the nested greedy engine is insert-only")
 
     def _choose_label(self, adopted: list[_Node]) -> int:
         if not adopted:

@@ -1,0 +1,88 @@
+"""Byte lock on CLI output: run logs, an adversary transcript, a bench CSV.
+
+Each artifact is produced in-process from a fixed trace and compared, as a
+sha256 hex string, with tests/golden/log_digests.json.  A change that
+alters any emitted byte (record order, number or color formatting, the
+recolorings an engine chooses) fails here.  Run this file as a script to
+print the current digests.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+from cfcolor.cli import main
+from cfcolor.core import Delete, Insert, format_trace
+
+from helpers import random_ops
+
+GOLDEN = Path(__file__).parent / "golden" / "log_digests.json"
+
+RUNS = {
+    "run dynamic:t=2": ("dynamic:t=2", "random"),
+    "run eps:eps=0.5": ("eps:eps=0.5", "random"),
+    "run fixed-distinct:U=256": ("fixed-distinct:U=256", "integer"),
+    "run fixed-chain:U=256,t=3": ("fixed-chain:U=256,t=3", "integer"),
+    "run grid:L=8,inner=dynamic": ("grid:L=8,inner=dynamic", "bounded"),
+}
+
+
+def _cli(tmp_path: Path, name: str, *argv: str) -> str:
+    out = tmp_path / name
+    assert main([*argv, "--out", str(out)]) == 0
+    return out.read_text()
+
+
+def _integer_trace() -> str:
+    ops = random_ops(random.Random(11), 800, universe=256)
+    return format_trace(Insert(p) if kind == "I" else Delete(p) for kind, p in ops)
+
+
+def artifacts(tmp_path: Path) -> dict[str, str]:
+    traces = {
+        "random": _cli(tmp_path, "random.trace", "gen", "random", "--n", "800", "--seed", "7"),
+        "bounded": _cli(tmp_path, "bounded.trace", "gen", "bounded-length",
+                        "--n", "800", "--seed", "7", "--L", "8"),
+        "integer": _integer_trace(),
+    }
+    paths = {}
+    for kind, text in traces.items():
+        paths[kind] = tmp_path / f"{kind}.in"
+        paths[kind].write_text(text)
+    out = {
+        label: _cli(tmp_path, "run.log", "run", "--method", spec,
+                    "--trace", str(paths[kind]), "--audit", "final")
+        for label, (spec, kind) in RUNS.items()
+    }
+    out["adversary general n=128 dynamic:t=2"] = _cli(
+        tmp_path, "adv.log", "adversary", "--kind", "general", "--n", "128",
+        "--engine", "dynamic:t=2")
+    out["bench"] = _cli(
+        tmp_path, "bench.csv", "bench", "--method", "dynamic:t=2",
+        "--method", "fixed-distinct:U=128", "--method", "fixed-chain:U=128,t=3",
+        "--method", "grid:L=6,inner=dynamic", "--method", "greedy-nested",
+        "--method", "trivial", "--n", "50,200", "--seed", "5")
+    return out
+
+
+def digests(tmp_path: Path) -> dict[str, str]:
+    return {
+        label: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for label, text in artifacts(tmp_path).items()
+    }
+
+
+def test_log_bytes_match_golden_digests(tmp_path):
+    assert digests(tmp_path) == json.loads(GOLDEN.read_text())
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        json.dump(digests(Path(tmp)), sys.stdout, indent=2, sort_keys=True)
+        print()
