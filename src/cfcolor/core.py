@@ -10,7 +10,6 @@ intervals containing it; the dummy color never counts as the unique one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Iterable, Mapping, Protocol, Union
 
 import numpy as np
@@ -389,50 +388,17 @@ def is_conflict_free_fast(
     for tight audit loops; agreement with the sweep version is tested.
     """
     ivs = list(intervals)
+    _missing_colors(ivs, assignment)
     if not ivs:
         return Verdict(True)
 
-    # One Python pass touches each interval once; everything after it runs
-    # in numpy.  The palette is coded by packing (level, index) into one
-    # integer rather than by hashing Color objects.  Both matter at tens of
-    # thousands of intervals, where separate attribute passes and Color
-    # hashing dominated the cost.
-    lefts: list = []
-    rights: list = []
-    cols: list = []
-    add_left, add_right, add_col = lefts.append, rights.append, cols.append
-    try:
-        for iv in ivs:
-            add_left(iv.left)
-            add_right(iv.right)
-            add_col(assignment[iv.id])
-    except KeyError:
-        _missing_colors(ivs, assignment)
-        raise
-    n = len(ivs)
-    levels = np.fromiter(map(_COLOR_LEVEL, cols), np.int64, n)
-    indices = np.fromiter(map(_COLOR_INDEX, cols), np.int64, n)
-    lmin, imin = int(levels.min()), int(indices.min())
-    stride = int(indices.max()) - imin + 1
-    if (int(levels.max()) - lmin + 1) * stride < 2**62:
-        keys = (levels - lmin) * stride + (indices - imin)
-        packed, colors = np.unique(keys, return_inverse=True)
-        nondummy = packed // stride + lmin >= 0
-    else:
-        pairs, colors = np.unique(
-            np.stack((levels, indices), axis=1), axis=0, return_inverse=True
-        )
-        nondummy = pairs[:, 0] >= 0
-    return _cf_over_arrays(
-        np.fromiter(lefts, np.float64, n),
-        np.fromiter(rights, np.float64, n),
-        colors.reshape(-1),
-        nondummy,
-    )
-
-
-_COLOR_LEVEL = attrgetter("level")
-_COLOR_INDEX = attrgetter("index")
+    lefts = np.array([iv.left for iv in ivs], dtype=np.float64)
+    rights = np.array([iv.right for iv in ivs], dtype=np.float64)
+    palette = sorted({assignment[iv.id] for iv in ivs})
+    cindex = {c: j for j, c in enumerate(palette)}
+    colors = np.array([cindex[assignment[iv.id]] for iv in ivs], dtype=np.intp)
+    nondummy = np.array([not c.is_dummy() for c in palette], dtype=bool)
+    return _cf_over_arrays(lefts, rights, colors, nondummy)
 
 
 def _cf_over_arrays(lefts, rights, colors, nondummy) -> Verdict:
@@ -442,15 +408,13 @@ def _cf_over_arrays(lefts, rights, colors, nondummy) -> Verdict:
     Shared by is_conflict_free_fast and audit loops that already keep
     endpoints in arrays.
     """
-    xs, rank = np.unique(np.concatenate([lefts, rights]), return_inverse=True)
+    xs = np.unique(np.concatenate([lefts, rights]))
     reps = np.empty(2 * xs.size - 1, dtype=np.float64)
     reps[0::2] = xs
     reps[1::2] = (xs[:-1] + xs[1:]) / 2.0
 
-    # Endpoint xs[k] is rep 2k: an interval covers reps lo .. hi-1.
-    n = lefts.size
-    lo = 2 * rank[:n]
-    hi = 2 * rank[n:] + 1
+    lo = np.searchsorted(reps, lefts, side="left")
+    hi = np.searchsorted(reps, rights, side="right")  # hi-1 = last covered rep
     ncol = nondummy.size
     size = (reps.size + 1) * ncol
     delta = np.bincount(lo * ncol + colors, minlength=size) - np.bincount(
