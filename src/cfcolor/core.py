@@ -200,20 +200,20 @@ class ColoringState:
         return len(self.intervals)
 
     def add(self, interval: Interval) -> None:
+        """Make an interval live; a duplicate id is rejected before any change."""
         if interval.id in self.intervals:
             raise EngineError(f"duplicate insert id {interval.id}")
         self.intervals[interval.id] = interval
 
     def begin_insert(self, interval: Interval) -> None:
-        """Open an insert: reject a duplicate id, begin a ledger record, add.
+        """Open an insert: add() the interval, then begin its ledger record.
 
-        Engines run their own input checks before this call, so a rejected
-        insert leaves the state and the ledger as they were.
+        Engines run their own input checks before this call, and add()
+        changes nothing when it rejects, so a rejected insert leaves the
+        state and the ledger as they were.
         """
-        if interval.id in self.intervals:
-            raise EngineError(f"duplicate insert id {interval.id}")
+        self.add(interval)
         self.ledger.begin()
-        self.intervals[interval.id] = interval
 
     def begin_delete(self, interval_id: int) -> Interval:
         """Open a delete: reject an unknown id, then begin a ledger record.

@@ -28,7 +28,6 @@ from .btree import (
     build_tree,
     iter_nodes,
     locate,
-    node_extremes,
     node_pool,
     slot_extremes,
     validate_structure,
@@ -42,13 +41,14 @@ __all__ = ["LevelPaletteTree", "FixedDistinctEngine", "FixedChainEngine"]
 class LevelPaletteTree:
     """Coloring framework over a B-tree whose level l owns palette l.
 
-    Subclasses provide `root`, `t` and `state`, and keep every live
-    interval bucketed at exactly one node.
+    Subclasses provide `root`, `t`, `state` and an `_anchor` map keyed by
+    live id, and keep every live interval bucketed at exactly one node.
     """
 
     root: BNode
     t: int
     state: ColoringState
+    _anchor: dict
 
     @property
     def height(self) -> int:
@@ -87,12 +87,13 @@ class LevelPaletteTree:
 
         Per node: only level-palette colors appear, non-extremes are dummy,
         and the node's own intervals are locally conflict-free.  Every live
-        interval is bucketed at exactly one node.
+        interval is bucketed at exactly one node and has an anchor entry.
         """
         validate_structure(self.root, self.t)
         seen: set[int] = set()
         for v in iter_nodes(self.root):
-            ext_ids = {iv.id for iv in node_extremes(v)}
+            slot_ext = [slot_extremes(bucket) for bucket in v.buckets]
+            ext_ids = {iv.id for ext in slot_ext for iv in ext}
             pool = node_pool(v)
             colors = {}
             for iv in pool:
@@ -108,12 +109,14 @@ class LevelPaletteTree:
             verdict = is_conflict_free(pool, colors)
             if not verdict:
                 raise InvariantError(f"node not locally conflict-free at {verdict.witness}")
-            self._audit_node(v, ext_ids)
+            self._audit_node(v, slot_ext)
         if seen != set(self.state.intervals):
             raise InvariantError("bucketed intervals out of sync with live set")
+        if self._anchor.keys() != self.state.intervals.keys():
+            raise InvariantError("anchor map out of sync with live set")
 
-    def _audit_node(self, v: BNode, ext_ids: set[int]) -> None:
-        pass
+    def _audit_node(self, v: BNode, slot_ext: list[tuple[Interval, ...]]) -> None:
+        """Engine-specific checks of node v, given each slot's extremes."""
 
 
 class _FixedBase(LevelPaletteTree):
@@ -177,13 +180,17 @@ class _FixedBase(LevelPaletteTree):
             if not 0 <= x <= self.universe - 1:
                 raise EngineError(f"endpoint {x} outside universe [0, {self.universe - 1}]")
 
-    def _audit_node(self, v: BNode, ext_ids: set[int]) -> None:
-        for slot, bucket in enumerate(v.buckets):
+    def audit(self) -> None:
+        """Framework invariants, then each anchor names its interval's bucket."""
+        super().audit()
+        for iid, (v, slot) in self._anchor.items():
+            if iid not in v.buckets[slot]:
+                raise InvariantError(f"anchor map stale for {iid}")
+
+    def _audit_node(self, v: BNode, slot_ext: list[tuple[Interval, ...]]) -> None:
+        for slot, ext in enumerate(slot_ext):
             cached = self._ext.get((id(v), slot))
-            if cached is None:
-                continue
-            ext = slot_extremes(bucket)
-            if not ext or cached != (ext[0], ext[-1]):
+            if cached is not None and (not ext or cached != (ext[0], ext[-1])):
                 raise InvariantError(f"extremes cache stale at level {v.level} slot {slot}")
 
 
@@ -193,10 +200,10 @@ class FixedDistinctEngine(_FixedBase):
     def palette_size(self) -> int:
         return 4 * self.t - 2
 
-    def _audit_node(self, v: BNode, ext_ids: set[int]) -> None:
-        super()._audit_node(v, ext_ids)
+    def _audit_node(self, v: BNode, slot_ext: list[tuple[Interval, ...]]) -> None:
+        super()._audit_node(v, slot_ext)
         used = []
-        for iid in ext_ids:
+        for iid in {iv.id for ext in slot_ext for iv in ext}:
             c = self.state.color_of(iid)
             if c.is_dummy():
                 raise InvariantError(f"extreme {iid} wears the dummy color")

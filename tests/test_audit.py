@@ -25,7 +25,6 @@ ENGINES = {
     "dynamic": (lambda: DynamicEngine(2), 2),
     "eps": (lambda: EpsilonEngine(0.5), 2),
 }
-DYNAMIC = ["dynamic", "eps"]
 FIXED = ["fixed-distinct", "fixed-chain"]
 
 
@@ -154,12 +153,22 @@ def test_distinct_extreme_wearing_dummy():
         eng.audit()
 
 
-@pytest.mark.parametrize("name", DYNAMIC)
 def test_stale_anchor(name):
     eng = populated(name)
-    iid, home = next(iter(eng._anchor.items()))
-    eng._anchor[iid] = next(w for w in iter_nodes(eng.root) if w is not home)
+    iid, anchor = next(iter(eng._anchor.items()))
+    # fixed engines anchor an id at (node, slot), dynamic ones at a node
+    home = anchor[0] if name in FIXED else anchor
+    other = next(w for w in iter_nodes(eng.root) if w is not home)
+    eng._anchor[iid] = (other, 0) if name in FIXED else other
     with pytest.raises(InvariantError, match="anchor map stale"):
+        eng.audit()
+
+
+def test_anchor_of_a_deleted_id(name):
+    eng = populated(name)
+    gone = max(eng.state.intervals) + 1
+    eng._anchor[gone] = next(iter(eng._anchor.values()))
+    with pytest.raises(InvariantError, match="anchor map out of sync"):
         eng.audit()
 
 
