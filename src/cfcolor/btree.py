@@ -111,11 +111,13 @@ def locate(root: BNode, interval: Interval, coord: CoordFn = _ident) -> tuple[BN
 
     The caller guarantees some key of the tree lies inside the interval.
     """
+    key = None if coord is _ident else coord
+    left, right = interval.left, interval.right
     v = root
     while True:
-        coords = [coord(k) for k in v.keys]
-        i = bisect_left(coords, interval.left)
-        if i < len(coords) and coords[i] <= interval.right:
+        keys = v.keys
+        i = bisect_left(keys, left, key=key)
+        if i < len(keys) and coord(keys[i]) <= right:
             return v, i
         if v.is_leaf:
             raise InvariantError(f"no key contained in [{interval.left}, {interval.right}]")

@@ -9,6 +9,7 @@ intervals containing it; the dummy color never counts as the unique one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Protocol, Union
 
@@ -69,10 +70,15 @@ class Interval:
     right: float
 
     def __post_init__(self):
-        if not self.left < self.right:
+        if -math.inf < self.left < self.right < math.inf:
+            return
+        if not (math.isfinite(self.left) and math.isfinite(self.right)):
             raise ValueError(
-                f"interval {self.id}: left must be < right, got [{self.left}, {self.right}]"
+                f"interval {self.id}: endpoints must be finite, got [{self.left}, {self.right}]"
             )
+        raise ValueError(
+            f"interval {self.id}: left must be < right, got [{self.left}, {self.right}]"
+        )
 
     def contains(self, x: float) -> bool:
         return self.left <= x <= self.right
@@ -291,7 +297,7 @@ def elementary_regions(intervals: Iterable[Interval]) -> list[float]:
     pts = [xs[0] - 1.0]
     for a, b in zip(xs, xs[1:]):
         pts.append(a)
-        pts.append((a + b) / 2.0)
+        pts.append(a / 2.0 + b / 2.0)  # no overflow near the float limit
     pts.append(xs[-1])
     pts.append(xs[-1] + 1.0)
     return pts
@@ -373,7 +379,7 @@ def is_conflict_free(
             i += 1
         if active:
             # open region between x and the next endpoint
-            mid = (x + events[i][0]) / 2.0
+            mid = x / 2.0 + events[i][0] / 2.0  # no overflow near the float limit
             if uniq == 0:
                 return Verdict(False, mid)
     return Verdict(True)
@@ -411,7 +417,7 @@ def _cf_over_arrays(lefts, rights, colors, nondummy) -> Verdict:
     xs = np.unique(np.concatenate([lefts, rights]))
     reps = np.empty(2 * xs.size - 1, dtype=np.float64)
     reps[0::2] = xs
-    reps[1::2] = (xs[:-1] + xs[1:]) / 2.0
+    reps[1::2] = xs[:-1] / 2.0 + xs[1:] / 2.0  # no overflow near the float limit
 
     lo = np.searchsorted(reps, lefts, side="left")
     hi = np.searchsorted(reps, rights, side="right")  # hi-1 = last covered rep

@@ -5,12 +5,16 @@ two unique keys and key comparisons never tie.  Intervals hang off the
 unique highest node holding a key they contain.  Rebalancing (split,
 merge, borrow, separator swap) moves keys between nodes; any interval
 whose anchor that can change is staged out first, the key surgery runs,
-and the staged intervals are re-located from the root.  Every node whose
-bucket content may have changed is rechained: its per-slot extreme
-intervals get a fresh chain coloring from the node's 2-color level
-palette, everything else at the node goes dummy.  The palette rule, the
-chain coloring and the per-node audit come from `LevelPaletteTree` in
-`engine_fixed`, shared with the fixed-universe engines.
+and the staged intervals are re-located from the lowest node whose keys
+changed.  Every node whose bucket content may have changed is rechained:
+its per-slot extreme intervals get a fresh chain coloring from the node's
+2-color level palette, and of the rest only the intervals that may still
+wear a color go dummy: the node's chained set (from `LevelPaletteTree`)
+and the intervals that moved in during the update.  So an update assigns
+colors to a node's extremes and the intervals that moved, never to its
+whole pool.  The palette rule, the chain coloring, the chained sets and
+the per-node audit come from `LevelPaletteTree` in `engine_fixed`, shared
+with the fixed-universe engines.
 
 The epsilon variant rebuilds the whole tree with minimum degree about
 n^eps whenever the live count leaves [n_last/2, 2*n_last]; recolorings
@@ -29,12 +33,7 @@ from .btree import (
     node_extremes,
     node_pool,
 )
-from .core import (
-    ColoringState,
-    EngineError,
-    Interval,
-    InvariantError,
-)
+from .core import DUMMY, EngineError, Interval, InvariantError
 from .engine_fixed import LevelPaletteTree
 
 __all__ = ["DynamicEngine", "EpsilonEngine"]
@@ -45,24 +44,23 @@ def _coord(key: tuple[float, int, int]) -> float:
 
 
 class _Batch:
-    """Bookkeeping for one public update: nodes to rechain, nodes dropped."""
+    """Bookkeeping for one public update: nodes to rechain, nodes dropped,
+    and per node the ids that moved there not wearing dummy."""
 
-    __slots__ = ("touched", "dropped")
+    __slots__ = ("touched", "dropped", "arrived")
 
     def __init__(self) -> None:
         self.touched: set[BNode] = set()
         self.dropped: set[BNode] = set()
+        self.arrived: dict[BNode, list[int]] = {}
 
 
 class DynamicEngine(LevelPaletteTree):
     """Chain-per-node coloring over a self-balancing endpoint B-tree."""
 
     def __init__(self, t: int = 2) -> None:
-        if t < 2:
-            raise EngineError("minimum degree t must be at least 2")
-        self.t = t
+        super().__init__(t)
         self.root = BNode(0)
-        self.state = ColoringState()
         self._anchor: dict[int, BNode] = {}
 
     # ------------------------------------------------------------- public
@@ -76,7 +74,7 @@ class DynamicEngine(LevelPaletteTree):
         self._insert_key((interval.right, interval.id, 1), batch)
         v, slot = locate(self.root, interval, _coord)
         v.buckets[slot][interval.id] = interval
-        self._anchor[interval.id] = v
+        self._arrive(v, (interval.id,), batch)
         batch.touched.add(v)
         self._rechain(batch)
 
@@ -125,7 +123,7 @@ class DynamicEngine(LevelPaletteTree):
             if v.is_leaf:
                 v.keys.insert(pos, key)
                 v.buckets.insert(pos, {})
-                self._rebucket(v)
+                self._rebucket(v, pos)
                 batch.touched.add(v)
                 return
             child = v.children[pos]
@@ -137,18 +135,28 @@ class DynamicEngine(LevelPaletteTree):
             v = child
 
     def _split_child(self, parent: BNode, ci: int, batch: _Batch) -> None:
+        """Move the median key of a full child up into parent.
+
+        The child's intervals that contain the median move up with it, and
+        its buckets right of the median go to the new right sibling; every
+        other interval keeps its slot.
+        """
         t = self.t
         child = parent.children[ci]
         if len(child.keys) != 2 * t - 1:
             raise EngineError("can only split a full node")
         mid_key = child.keys[t - 1]
-        pool = node_pool(child)
+        mid = mid_key[0]
 
         right = BNode(child.level)
         right.keys = child.keys[t:]
-        right.buckets = [{} for _ in right.keys]
+        right.buckets = child.buckets[t:]
+        up = child.buckets[t - 1]  # these contain the median key itself
+        for bucket in child.buckets[: t - 1]:
+            for iid in [iid for iid, iv in bucket.items() if iv.right >= mid]:
+                up[iid] = bucket.pop(iid)
         child.keys = child.keys[: t - 1]
-        child.buckets = [{} for _ in child.keys]
+        child.buckets = child.buckets[: t - 1]
         if child.children:
             right.children = child.children[t:]
             child.children = child.children[:t]
@@ -156,16 +164,12 @@ class DynamicEngine(LevelPaletteTree):
         parent.keys.insert(ci, mid_key)
         parent.buckets.insert(ci, {})
         parent.children.insert(ci + 1, right)
-        self._rebucket(parent)
-
-        mid = mid_key[0]
-        for iv in sorted(pool, key=lambda iv: iv.id):
-            if iv.left <= mid <= iv.right:
-                self._place(parent, iv)
-            elif iv.right < mid:
-                self._place(child, iv)
-            else:
-                self._place(right, iv)
+        self._rebucket(parent, ci)
+        # no other key of parent lies inside an interval anchored below it
+        parent.buckets[ci].update(up)
+        self._arrive(parent, up, batch)
+        for bucket in right.buckets:
+            self._arrive(right, bucket, batch)
         batch.touched.update((parent, child, right))
 
     # -------------------------------------------------------- key deletion
@@ -179,11 +183,14 @@ class DynamicEngine(LevelPaletteTree):
             pos = bisect_left(v.keys, key)
             if pos < len(v.keys) and v.keys[pos] == key:
                 if v.is_leaf:
-                    pool = node_pool(v)
                     v.keys.pop(pos)
-                    v.buckets = [{} for _ in v.keys]
-                    for iv in sorted(pool, key=lambda iv: iv.id):
-                        self._place(v, iv)
+                    # a leaf's intervals hold their own keys there, so the
+                    # next key is inside every interval the gone key was
+                    bucket = v.buckets.pop(pos)
+                    if bucket:
+                        if pos == len(v.keys):
+                            raise InvariantError(f"interval {next(iter(bucket))} loses its last key")
+                        v.buckets[pos].update(bucket)
                     batch.touched.add(v)
                     return
                 if len(v.children[pos + 1].keys) >= t:
@@ -222,25 +229,31 @@ class DynamicEngine(LevelPaletteTree):
         sep = parent.keys[si]
         up_key = sib.keys[-1] if from_left else sib.keys[0]
 
-        staged = list(parent.buckets[si].values())
-        staged += [iv for iv in node_pool(sib) if iv.left <= up_key[0] <= iv.right]
-        for iv in staged:
-            self._remove_from_node(self._anchor[iv.id], iv.id)
+        # sep's intervals that contain up_key keep their slot; the sibling's
+        # that contain it rise into that slot
+        staged = self._take_missing(parent.buckets[si], up_key[0])
+        risen = self._take_containing(sib, up_key[0])
 
+        # the sibling's bucket of up_key has risen whole; no interval
+        # anchored at the child contains sep, so its new bucket starts empty
         if from_left:
             sib.keys.pop()
+            sib.buckets.pop()
             child.keys.insert(0, sep)
+            child.buckets.insert(0, {})
             if sib.children:
                 child.children.insert(0, sib.children.pop())
         else:
             sib.keys.pop(0)
+            sib.buckets.pop(0)
             child.keys.append(sep)
+            child.buckets.append({})
             if sib.children:
                 child.children.append(sib.children.pop(0))
         parent.keys[si] = up_key
-        for node in (parent, sib, child):
-            self._rebucket(node)
-        self._relocate(staged, batch)
+        self._rebucket(parent, si)
+        self._rise(parent, si, risen, batch)
+        self._relocate(staged, parent, batch)
         batch.touched.update((parent, sib, child))
 
     def _merge_children(self, parent: BNode, si: int, batch: _Batch) -> BNode:
@@ -248,21 +261,23 @@ class DynamicEngine(LevelPaletteTree):
         right = parent.children[si + 1]
         if len(left.keys) + len(right.keys) + 1 > 2 * self.t - 1:
             raise EngineError("merge would overflow the node")
-        sep = parent.keys[si]
+        sep = parent.keys.pop(si)
+        sep_bucket = parent.buckets.pop(si)
+        parent.children.pop(si + 1)
+        # sep's intervals that contain parent's next key stay, now in its
+        # slot; the others sink into left, which receives sep, at their
+        # leftmost key there
+        staged = list(sep_bucket.values())
+        if si < len(parent.keys):
+            staged = self._take_missing(sep_bucket, parent.keys[si][0])
+            parent.buckets[si].update(sep_bucket)
 
-        staged = list(parent.buckets[si].values())
-        for iv in staged:
-            self._remove_from_node(parent, iv.id)
-
+        # no interval anchored at either child contains sep
         left.keys = left.keys + [sep] + right.keys
         left.buckets = left.buckets + [{}] + right.buckets
         left.children.extend(right.children)
         for bucket in right.buckets:
-            for iv in bucket.values():
-                self._anchor[iv.id] = left
-        parent.keys.pop(si)
-        parent.buckets.pop(si)
-        parent.children.pop(si + 1)
+            self._arrive(left, bucket, batch)
 
         batch.dropped.add(right)
         batch.touched.discard(right)
@@ -273,16 +288,19 @@ class DynamicEngine(LevelPaletteTree):
         else:
             batch.touched.add(parent)
         batch.touched.add(left)
-        self._relocate(staged, batch)
+        for iv in staged:
+            left.buckets[bisect_left(left.keys, (iv.left,))][iv.id] = iv
+        self._arrive(left, [iv.id for iv in staged], batch)
         return left
 
     def _swap_separator(self, v: BNode, pos: int, successor: bool, batch: _Batch) -> None:
         """Replace separator pos by its neighbor key and delete that key below.
 
         The neighbor key sits in a leaf at the end of a spine; intervals
-        anchored on the spine that contain its coordinate will contain a
-        key of v afterwards, so they are staged out together with the
-        separator's own bucket before any surgery runs.
+        anchored on the spine that contain its coordinate will have it as
+        their only key at v, so they are taken out before any surgery runs
+        and rise into its slot.  The separator's intervals that miss it are
+        relocated from v.
         """
         subtree = v.children[pos + 1] if successor else v.children[pos]
         spine: list[BNode] = []
@@ -294,34 +312,49 @@ class DynamicEngine(LevelPaletteTree):
             w = w.children[0] if successor else w.children[-1]
         swap_key = spine[-1].keys[0] if successor else spine[-1].keys[-1]
 
-        staged = list(v.buckets[pos].values())
-        for node in spine:
-            staged += [iv for iv in node_pool(node) if iv.left <= swap_key[0] <= iv.right]
-        for iv in staged:
-            self._remove_from_node(self._anchor[iv.id], iv.id)
+        staged = self._take_missing(v.buckets[pos], swap_key[0])
+        risen = [iv for node in spine for iv in self._take_containing(node, swap_key[0])]
         batch.touched.update(spine)  # staging may have changed their extremes
 
         self._delete_key_from(subtree, swap_key, batch)
         v.keys[pos] = swap_key
-        self._rebucket(v)
-        self._relocate(staged, batch)
+        self._rebucket(v, pos)
+        self._rise(v, pos, risen, batch)
+        self._relocate(staged, v, batch)
         batch.touched.add(v)
 
     # ----------------------------------------------------- bucket plumbing
 
-    def _place(self, node: BNode, interval: Interval) -> None:
-        coords = [k[0] for k in node.keys]
-        i = bisect_left(coords, interval.left)
-        if not (i < len(coords) and coords[i] <= interval.right):
-            raise InvariantError(f"interval {interval.id} has no key at its target node")
-        node.buckets[i][interval.id] = interval
-        self._anchor[interval.id] = node
+    def _rebucket(self, node: BNode, pos: int) -> None:
+        """keys[pos] is new at node and its bucket empty: move into it the
+        intervals of the next bucket that contain it.
 
-    def _rebucket(self, node: BNode) -> None:
-        pool = node_pool(node)
-        node.buckets = [{} for _ in node.keys]
-        for iv in sorted(pool, key=lambda iv: iv.id):
-            self._place(node, iv)
+        Those have it as their leftmost contained key now; the intervals of
+        every other bucket keep theirs.
+        """
+        if pos + 1 < len(node.keys):
+            x = node.keys[pos][0]
+            nxt = node.buckets[pos + 1]
+            into = node.buckets[pos]
+            for iid in [iid for iid, iv in nxt.items() if iv.left <= x]:
+                into[iid] = nxt.pop(iid)
+
+    def _take_containing(self, node: BNode, x: float) -> list[Interval]:
+        """Remove from node's buckets the intervals containing x; return them."""
+        out = [iv for iv in node_pool(node) if iv.left <= x <= iv.right]
+        for iv in out:
+            self._remove_from_node(node, iv.id)
+        return out
+
+    def _take_missing(self, bucket: dict[int, Interval], x: float) -> list[Interval]:
+        """Remove from bucket the intervals not containing x; return them."""
+        missing = [iid for iid, iv in bucket.items() if not iv.left <= x <= iv.right]
+        return [bucket.pop(iid) for iid in missing]
+
+    def _rise(self, node: BNode, slot: int, risen: list[Interval], batch: _Batch) -> None:
+        """Bucket at node's slot the intervals taken from below it."""
+        node.buckets[slot].update((iv.id, iv) for iv in risen)
+        self._arrive(node, [iv.id for iv in risen], batch)
 
     def _remove_from_node(self, node: BNode, iid: int) -> None:
         for bucket in node.buckets:
@@ -330,22 +363,47 @@ class DynamicEngine(LevelPaletteTree):
                 return
         raise InvariantError(f"interval {iid} not bucketed at its anchor")
 
-    def _relocate(self, staged: list[Interval], batch: _Batch) -> None:
-        for iv in sorted(staged, key=lambda iv: iv.id):
-            v, slot = locate(self.root, iv, _coord)
+    def _arrive(self, node: BNode, ids, batch: _Batch) -> None:
+        """Anchor ids at node; note those not wearing dummy as arrivals.
+
+        Colors change only when the update rechains, after all moves.
+        """
+        anchor = self._anchor
+        color_of = self.state.assignment.get
+        arrived = batch.arrived.setdefault(node, [])
+        for iid in ids:
+            anchor[iid] = node
+            if color_of(iid) is not DUMMY:
+                arrived.append(iid)
+
+    def _relocate(self, staged: list[Interval], start: BNode, batch: _Batch) -> None:
+        """Bucket staged intervals anew at or below start: start's ancestors
+        kept their keys, so none of them holds a key inside one."""
+        anchor = self._anchor
+        for iv in staged:
+            v, slot = locate(start, iv, _coord)
             v.buckets[slot][iv.id] = iv
-            self._anchor[iv.id] = v
+            if anchor[iv.id] is not v:
+                self._arrive(v, (iv.id,), batch)
             batch.touched.add(v)
 
     # ------------------------------------------------------------ coloring
 
     def _rechain(self, batch: _Batch) -> None:
+        for v in batch.dropped:
+            self._chained.pop(v, None)
         live = [v for v in batch.touched - batch.dropped if v.keys]
         for v in sorted(live, key=lambda v: (v.level, v.keys[0])):
-            self._rechain_node(v)
+            self._rechain_node(v, batch.arrived.get(v, ()))
 
-    def _rechain_node(self, v: BNode, rebuild: bool = False) -> None:
-        self._chain_extremes(v, node_extremes(v), node_pool(v), rebuild)
+    def _rechain_node(self, v: BNode, arrived) -> None:
+        """Chain-color v's extremes; of its other intervals only those that
+        can wear a color go dummy: its chained ids and the arrivals (a new
+        insert has no color yet) that are still anchored at v."""
+        anchor = self._anchor
+        ids = [iid for iid in self._chained.get(v, ()) if anchor.get(iid) is v]
+        ids += [iid for iid in arrived if anchor.get(iid) is v]
+        self._chain_extremes(v, node_extremes(v), ids)
 
     # ------------------------------------------------------------- checks
 
@@ -403,12 +461,14 @@ class EpsilonEngine(DynamicEngine):
         )
         self.root, _ = build_tree(keys, self.t)
         self._anchor.clear()
+        self._chained.clear()
         for iid in sorted(self.state.intervals):
             iv = self.state.intervals[iid]
             v, slot = locate(self.root, iv, _coord)
             v.buckets[slot][iid] = iv
             self._anchor[iid] = v
         for v in iter_nodes(self.root):
-            self._rechain_node(v, rebuild=True)
+            pool = [iv.id for iv in node_pool(v)]
+            self._chain_extremes(v, node_extremes(v), pool, rebuild=True)
         self._n_last = n
         self.rebuild_count += 1

@@ -6,7 +6,9 @@ per tree level a disjoint palette, per node only the per-slot extreme
 intervals get real colors, everything else is dummy.  Local
 conflict-freeness at every node then yields global conflict-freeness.  The
 base class holds the palette rule, the color bound, chain-coloring a node's
-extremes and the per-node audit.
+extremes, the per-node audit and the chained set: per node, the ids
+anchored there that wear one of its level colors.  Only those ids and the
+node's extremes can need a new color when the node is rechained.
 
 Over a fixed integer universe {0, ..., U-1} the B-tree skeleton is built
 once and never changes, so updates only move intervals in and out of
@@ -41,14 +43,22 @@ __all__ = ["LevelPaletteTree", "FixedDistinctEngine", "FixedChainEngine"]
 class LevelPaletteTree:
     """Coloring framework over a B-tree whose level l owns palette l.
 
-    Subclasses provide `root`, `t`, `state` and an `_anchor` map keyed by
-    live id, and keep every live interval bucketed at exactly one node.
+    Subclasses provide `root` and an `_anchor` map keyed by live id, keep
+    every live interval bucketed at exactly one node, and keep every id
+    that wears a level color in the chained set of its node.
     """
 
     root: BNode
-    t: int
-    state: ColoringState
     _anchor: dict
+
+    def __init__(self, t: int) -> None:
+        if t < 2:
+            raise EngineError("minimum degree t must be at least 2")
+        self.t = t
+        self.state = ColoringState()
+        # node -> ids anchored there that wear a color of its level; keyed
+        # by the node itself, since dead nodes' ids can be reused
+        self._chained: dict[BNode, set[int]] = {}
 
     @property
     def height(self) -> int:
@@ -65,29 +75,31 @@ class LevelPaletteTree:
         self,
         v: BNode,
         extremes: list[Interval],
-        dummies: Iterable[Interval] = (),
+        dummies: Iterable[int] = (),
         rebuild: bool = False,
-    ) -> dict[int, Color]:
+    ) -> None:
         """Chain-color v's extremes with the 2 colors of v's level, assign them.
 
-        Intervals in `dummies` that no chain covers go dummy in the same
-        pass; all assignments run in ascending id order.  Returns what was
-        assigned.
+        The ids in `dummies` that no chain covers go dummy in the same pass;
+        all assignments run in ascending id order.  The ids left wearing a
+        color become v's chained set.
         """
         palette = [Color(v.level, 0), Color(v.level, 1)]
-        target = {iv.id: DUMMY for iv in dummies}
+        target = dict.fromkeys(dummies, DUMMY)
         for comp in connected_components(extremes):
             target.update(color_chain(build_chain(comp), comp, palette))
+        set_color = self.state.set_color
         for iid in sorted(target):
-            self.state.set_color(iid, target[iid], rebuild=rebuild)
-        return target
+            set_color(iid, target[iid], rebuild=rebuild)
+        self._chained[v] = {iid for iid, color in target.items() if color is not DUMMY}
 
     def audit(self) -> None:
         """Check the framework invariants on every node.
 
         Per node: only level-palette colors appear, non-extremes are dummy,
-        and the node's own intervals are locally conflict-free.  Every live
-        interval is bucketed at exactly one node and has an anchor entry.
+        the node's own intervals are locally conflict-free, and each one
+        wearing a color is in the node's chained set.  Every live interval
+        is bucketed at exactly one node and has an anchor entry.
         """
         validate_structure(self.root, self.t)
         seen: set[int] = set()
@@ -109,6 +121,10 @@ class LevelPaletteTree:
             verdict = is_conflict_free(pool, colors)
             if not verdict:
                 raise InvariantError(f"node not locally conflict-free at {verdict.witness}")
+            chained = self._chained.get(v, set())
+            for iid, c in colors.items():
+                if not c.is_dummy() and iid not in chained:
+                    raise InvariantError(f"interval {iid} wears {c} but is not chained at its node")
             self._audit_node(v, slot_ext)
         if seen != set(self.state.intervals):
             raise InvariantError("bucketed intervals out of sync with live set")
@@ -123,12 +139,9 @@ class _FixedBase(LevelPaletteTree):
     def __init__(self, universe: int, t: int = 2) -> None:
         if universe < 1:
             raise EngineError("universe size must be at least 1")
-        if t < 2:
-            raise EngineError("minimum degree t must be at least 2")
+        super().__init__(t)
         self.universe = universe
-        self.t = t
         self.root, _ = build_tree(range(universe), t)
-        self.state = ColoringState()
         self._anchor: dict[int, tuple[BNode, int]] = {}
         # cached (lo, hi) per bucket; safe because the skeleton never changes
         self._ext: dict[tuple[int, int], tuple[Interval, Interval]] = {}
@@ -232,11 +245,14 @@ class FixedDistinctEngine(_FixedBase):
         self._anchor[interval.id] = (v, slot)
         new = self._extremes(v, slot)
         new_ids = {iv.id for iv in new}
+        chained = self._chained.setdefault(v, set())
         for demoted in old:
             if demoted.id not in new_ids:
                 self.state.set_color(demoted.id, DUMMY)
+                chained.discard(demoted.id)
         if interval.id in new_ids:
             self.state.set_color(interval.id, self._free_color(v))
+            chained.add(interval.id)
         else:
             self.state.set_color(interval.id, DUMMY)
 
@@ -246,30 +262,24 @@ class FixedDistinctEngine(_FixedBase):
         old_ids = {iv.id for iv in self._extremes(v, slot)}
         self._bucket_del(v, slot, iid)
         self.state.remove(iid)
+        chained = self._chained[v]
+        chained.discard(iid)
         for promoted in self._extremes(v, slot):
             if promoted.id not in old_ids:
                 self.state.set_color(promoted.id, self._free_color(v))
+                chained.add(promoted.id)
 
 
 class FixedChainEngine(_FixedBase):
     """Each update rechains the extremes of the touched node with 2 colors."""
 
-    def __init__(self, universe: int, t: int = 2) -> None:
-        super().__init__(universe, t)
-        # ids wearing a non-dummy chain color, per node
-        self._chained: dict[int, set[int]] = {}
-
     def _rechain(self, v: BNode) -> None:
         extremes = self._node_extremes(v)
-        # only previously chained intervals can need a demotion to dummy
-        prev = self._chained.get(id(v), set())
+        # only chained intervals can need a demotion to dummy; they go first
+        prev = self._chained.get(v, set())
         for iid in sorted(prev - {iv.id for iv in extremes}):
-            if iid in self.state.intervals:
-                self.state.set_color(iid, DUMMY)
-        target = self._chain_extremes(v, extremes)
-        self._chained[id(v)] = {
-            iid for iid, color in target.items() if not color.is_dummy()
-        }
+            self.state.set_color(iid, DUMMY)
+        self._chain_extremes(v, extremes)
 
     def insert(self, interval: Interval) -> None:
         self._check(interval)
@@ -286,5 +296,5 @@ class FixedChainEngine(_FixedBase):
         v, slot = self._anchor.pop(iid)
         self._bucket_del(v, slot, iid)
         self.state.remove(iid)
-        self._chained.get(id(v), set()).discard(iid)
+        self._chained.get(v, set()).discard(iid)
         self._rechain(v)

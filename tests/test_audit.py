@@ -185,3 +185,13 @@ def test_stale_extremes_cache(name):
                     eng.audit()
                 return
     raise AssertionError("no cached bucket with a non-extreme")
+
+
+def test_colored_interval_missing_from_chained_set(name):
+    eng = populated(name)
+    # rechains recolor only a node's extremes and its chained set, so a
+    # colored id missing from that set would keep its color once demoted
+    v, iv = colored_extreme(eng)
+    eng._chained[v].discard(iv.id)
+    with pytest.raises(InvariantError, match="not chained"):
+        eng.audit()

@@ -1,5 +1,6 @@
 """Core types, the sweep oracle, and trace round-tripping."""
 
+import math
 import random
 
 import pytest
@@ -37,6 +38,12 @@ class TestIntervalAndColor:
             Interval(1, 3, 3)
         with pytest.raises(ValueError):
             Interval(1, 5, 2)
+
+    @pytest.mark.parametrize("left, right", [(0, float("inf")), (float("-inf"), 0),
+                                             (float("nan"), 1), (0, float("nan"))])
+    def test_non_finite_endpoint_rejected(self, left, right):
+        with pytest.raises(ValueError, match="finite"):
+            Interval(1, left, right)
 
     def test_closed_containment(self):
         iv = Interval(1, 0, 2)
@@ -175,6 +182,40 @@ class TestOracle:
                 )
 
 
+class TestNearFloatLimit:
+    """Endpoints near +-1.7e308: midpoints must not overflow to inf."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_violation_between_endpoints_has_finite_witness(self, sign):
+        # only the dummy interval covers the open gap between 1.2e308 and 1.6e308
+        ivs = [
+            Interval(0, *sorted((sign * 1e308, sign * 1.7e308))),
+            Interval(1, *sorted((sign * 1e308, sign * 1.2e308))),
+            Interval(2, *sorted((sign * 1.6e308, sign * 1.7e308))),
+        ]
+        assignment = {0: DUMMY, 1: RED, 2: RED}
+        gap = sorted((sign * 1.2e308, sign * 1.6e308))
+        for oracle in (is_conflict_free, is_conflict_free_fast):
+            verdict = oracle(ivs, assignment)
+            assert not verdict.ok
+            assert gap[0] < verdict.witness < gap[1]
+            assert verdict.witness == pytest.approx(sign * 1.4e308)
+
+    def test_conflict_free_extreme_instance(self):
+        ivs = [Interval(0, -1.7e308, 1.7e308), Interval(1, 1e308, 1.5e308)]
+        assignment = {0: RED, 1: BLUE}
+        assert is_conflict_free(ivs, assignment).ok
+        assert is_conflict_free_fast(ivs, assignment).ok
+
+    def test_elementary_regions_stay_finite_and_sorted(self):
+        ivs = [Interval(0, -1.7e308, 1.7e308), Interval(1, 1.6e308, 1.75e308)]
+        pts = elementary_regions(ivs)
+        assert all(math.isfinite(x) for x in pts)
+        assert pts == sorted(pts)
+        assert pts[4] == pytest.approx(1.65e308)
+        assert pts[6] == pytest.approx(1.725e308)
+
+
 class TestLedgerAndState:
     def test_initial_color_is_free(self):
         st_ = ColoringState()
@@ -248,6 +289,12 @@ class TestTraceFormat:
         with pytest.raises(TraceError) as err:
             parse_trace(["I 1 5 5"])
         assert err.value.lineno == 1
+
+    @pytest.mark.parametrize("line", ["I 1 0 inf", "I 1 -inf 0", "I 1 nan 3"])
+    def test_non_finite_coordinate_rejected_with_lineno(self, line):
+        with pytest.raises(TraceError, match="finite") as err:
+            parse_trace(["I 0 0 1", line])
+        assert err.value.lineno == 2
 
     def test_wrong_arity_rejected(self):
         with pytest.raises(TraceError):

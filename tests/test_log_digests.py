@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from cfcolor.cli import main
-from cfcolor.core import Delete, Insert, format_trace
+from cfcolor.core import Delete, Insert, Interval, format_trace
 
 from helpers import random_ops
 
@@ -28,6 +28,8 @@ RUNS = {
     "run fixed-distinct:U=256": ("fixed-distinct:U=256", "integer"),
     "run fixed-chain:U=256,t=3": ("fixed-chain:U=256,t=3", "integer"),
     "run grid:L=8,inner=dynamic": ("grid:L=8,inner=dynamic", "bounded"),
+    "run dynamic:t=2 long-overlap": ("dynamic:t=2", "long"),
+    "run eps:eps=0.5 long-overlap": ("eps:eps=0.5", "long"),
 }
 
 
@@ -42,12 +44,30 @@ def _integer_trace() -> str:
     return format_trace(Insert(p) if kind == "I" else Delete(p) for kind, p in ops)
 
 
+def _long_overlap_trace() -> str:
+    """Lengths 10-100 on [0, 100], 30% deletes: large node pools, and
+    rebalancing (borrow, merge, separator swap) up to the root."""
+    rng = random.Random(23)
+    live: list[int] = []
+    ops = []
+    for nid in range(600):
+        if live and rng.random() < 0.3:
+            ops.append(Delete(live.pop(rng.randrange(len(live)))))
+            continue
+        length = rng.uniform(10.0, 100.0)
+        left = round(rng.uniform(0.0, 100.0 - length), 3)
+        ops.append(Insert(Interval(nid, left, round(left + length, 3))))
+        live.append(nid)
+    return format_trace(ops)
+
+
 def artifacts(tmp_path: Path) -> dict[str, str]:
     traces = {
         "random": _cli(tmp_path, "random.trace", "gen", "random", "--n", "800", "--seed", "7"),
         "bounded": _cli(tmp_path, "bounded.trace", "gen", "bounded-length",
                         "--n", "800", "--seed", "7", "--L", "8"),
         "integer": _integer_trace(),
+        "long": _long_overlap_trace(),
     }
     paths = {}
     for kind, text in traces.items():
