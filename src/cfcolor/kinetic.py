@@ -23,6 +23,7 @@ ones to force a recoloring per crossing.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -728,6 +729,9 @@ def parse_scenario(text: str) -> list[Trajectory]:
             nums = [parse_number(p) for p in parts[2:]]
         except ValueError as exc:
             raise TraceError(ln, str(exc)) from None
+        for name, x in zip(("a0", "va", "b0", "vb"), nums):
+            if isinstance(x, float) and not math.isfinite(x):
+                raise TraceError(ln, f"{name} must be finite, got {x}")
         trajs.append(Trajectory(iid, *nums))
     return trajs
 

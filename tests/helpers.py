@@ -65,15 +65,19 @@ def all_stabbing_sets(intervals):
 
 
 def random_instance(rng: random.Random, n: int, span: int = 40,
-                    colors: int = 4, allow_dummy: bool = True):
-    """Random intervals with a random coloring; endpoints on a half-int grid."""
+                    colors: int = 4, allow_dummy: bool = True, levels: int = 1):
+    """Random intervals with a random coloring; endpoints on a half-int grid.
+
+    The `colors` palette colors are spread round-robin over `levels` levels;
+    colors=0 with allow_dummy gives an all-dummy instance.
+    """
     ivs = []
     assignment = {}
     for i in range(n):
         a, b = sorted(rng.sample(range(2 * span), 2))
         ivs.append(Interval(i, a / 2.0, b / 2.0))
         roll = rng.randrange(colors + (1 if allow_dummy else 0))
-        assignment[i] = DUMMY if roll == colors else Color(0, roll)
+        assignment[i] = DUMMY if roll == colors else Color(roll % levels, roll // levels)
     return ivs, assignment
 
 

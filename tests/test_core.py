@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -16,6 +17,8 @@ from cfcolor.core import (
     Interval,
     RecolorLedger,
     TraceError,
+    Verdict,
+    _cf_over_arrays,
     elementary_regions,
     format_number,
     format_op,
@@ -145,6 +148,10 @@ class TestOracle:
     def test_missing_color_is_an_error(self):
         with pytest.raises(ValueError):
             is_conflict_free([Interval(1, 0, 1)], {})
+        ivs = [Interval(5, 0, 1), Interval(1, 0, 2), Interval(2, 1, 3)]
+        for oracle in (is_conflict_free, is_conflict_free_fast):
+            with pytest.raises(ValueError, match=r"ids \[2, 5\]"):
+                oracle(ivs, {1: RED})
 
     def test_point_region_only_violation_is_caught(self):
         # interiors are fine; the shared point 2 sees {red, red}
@@ -162,24 +169,61 @@ class TestOracle:
         ok, _ = naive_conflict_free(ivs, assignment, rng)
         assert verdict.ok == ok
 
-    @settings(max_examples=120, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 14))
-    def test_fast_oracle_matches_sweep(self, seed, n):
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 40),
+        st.sampled_from([2, 5, 40]),
+        st.sampled_from([0, 1, 3, 40]),
+    )
+    def test_fast_oracle_matches_sweep(self, seed, n, span, colors):
+        # small spans share endpoints; colors=0 is all dummy; 4 levels
         rng = random.Random(seed)
-        ivs, assignment = random_instance(rng, n, colors=3)
+        ivs, assignment = random_instance(rng, n, span=span, colors=colors, levels=4)
         slow = is_conflict_free(ivs, assignment)
         fast = is_conflict_free_fast(ivs, assignment)
-        assert slow.ok == fast.ok
+        assert fast.ok == slow.ok
+        assert fast.witness == slow.witness
         if not slow.ok:
-            # both witnesses must be genuine violations
-            for w in (slow.witness, fast.witness):
-                stab = [iv for iv in ivs if iv.left <= w <= iv.right]
-                counts = {}
-                for iv in stab:
-                    counts[assignment[iv.id]] = counts.get(assignment[iv.id], 0) + 1
-                assert not any(
-                    k == 1 and not c.is_dummy() for c, k in counts.items()
-                )
+            # the witness must be a genuine violation
+            w = slow.witness
+            stab = [iv for iv in ivs if iv.left <= w <= iv.right]
+            counts = {}
+            for iv in stab:
+                counts[assignment[iv.id]] = counts.get(assignment[iv.id], 0) + 1
+            assert not any(k == 1 and not c.is_dummy() for c, k in counts.items())
+
+    def test_fast_oracle_checks_gap_between_adjacent_floats(self):
+        # a/2 + b/2 rounds onto a: the gap (a, b) still counts as its own
+        # region, covered by two reds only, while a and b each see one blue
+        a = 1.0
+        b = math.nextafter(a, 2.0)
+        ivs = [Interval(0, 0, b), Interval(1, a, 3), Interval(2, 0.5, a), Interval(3, b, 2.5)]
+        assignment = {0: RED, 1: RED, 2: BLUE, 3: BLUE}
+        slow = is_conflict_free(ivs, assignment)
+        assert not slow.ok
+        assert is_conflict_free_fast(ivs, assignment) == slow
+
+    def test_array_core_in_kinetic_layout(self):
+        # codes number colors in first-met order: the dummy sits at code 2,
+        # and codes 3 and 4 are in the palette but worn by no interval
+        palette = [BLUE, RED, DUMMY, GREEN, Color(1, 0)]
+        nondummy = np.array([not c.is_dummy() for c in palette])
+        ivs = [Interval(0, 0, 4), Interval(1, 1, 2), Interval(2, 3, 6), Interval(3, 4, 7)]
+        lefts = np.array([iv.left for iv in ivs], dtype=np.float64)
+        rights = np.array([iv.right for iv in ivs], dtype=np.float64)
+        cases = {
+            (0, 1, 2, 1): Verdict(True),
+            (0, 1, 2, 0): Verdict(False, 4.0),  # two blues meet at the point 4
+            (0, 1, 1, 1): Verdict(False, 5.0),  # two reds over the gap (4, 6)
+            (2, 1, 1, 2): Verdict(False, 0.0),  # only the dummy covers 0
+            (2, 2, 2, 2): Verdict(False, 0.0),
+        }
+        for codes, want in cases.items():
+            verdict = _cf_over_arrays(lefts, rights, np.array(codes), nondummy)
+            assert verdict == want, codes
+            colors = {iv.id: palette[c] for iv, c in zip(ivs, codes)}
+            assert is_conflict_free(ivs, colors) == want, codes
 
 
 class TestNearFloatLimit:

@@ -285,6 +285,17 @@ class TestScenarioFiles:
         with pytest.raises(TraceError):
             parse_scenario("K one 2 3 4 5\n")
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("pos", range(4))
+    def test_non_finite_number_rejected_with_lineno(self, value, pos):
+        nums = ["0", "0", "5", "0"]
+        nums[pos] = value
+        name = ("a0", "va", "b0", "vb")[pos]
+        text = "K 0 0 0 1 0\nK 1 " + " ".join(nums) + "\n"
+        with pytest.raises(TraceError, match=f"{name} must be finite") as err:
+            parse_scenario(text)
+        assert err.value.lineno == 2
+
     def test_empty_round_trip(self):
         assert format_scenario([]) == ""
         assert parse_scenario("") == []

@@ -1,11 +1,13 @@
-"""Stateful lockstep fuzzing: one op stream drives every B-tree engine.
+"""Stateful lockstep fuzzing: one op stream drives every engine.
 
 A hypothesis state machine feeds the same inserts, deletes and rejected
-ops to the dynamic, epsilon, fixed-universe and grid engines.  Intervals
+ops to the dynamic, epsilon, fixed-universe, grid and baseline engines;
+`greedy-nested` is left out, as it needs a laminar op stream.  Intervals
 are integral with lengths in [1, 8) inside [0, U-1], so every engine
 accepts every insert.  After each step every engine must pass its own
-audit and both oracles, keep its color bound and recoloring cap, and a
-rejected op must leave its ledger and coloring as they were.
+audit (where it has one) and both oracles, keep its color bound and
+recoloring cap, and a rejected op must leave its ledger and coloring as
+they were.
 """
 
 from __future__ import annotations
@@ -27,6 +29,9 @@ SPECS = (
     f"fixed-chain:U={U}",
     f"fixed-distinct:U={U}",
     f"grid:L={L},inner=dynamic",
+    f"grid:L={L},inner=trivial",
+    "trivial",
+    "unique",
 )
 # most recolorings one update may cost
 RECOLOR_CAP = {f"fixed-chain:U={U}": 4 * 2, f"fixed-distinct:U={U}": 2}
@@ -79,9 +84,10 @@ class Lockstep(RuleBasedStateMachine):
         for spec, eng in self.engines.items():
             state = eng.state
             assert sorted(state.intervals) == sorted(self.live), spec
-            eng.audit()
-            for inner in getattr(eng, "_inner", ()):  # the grid's inner engines
-                inner.audit()
+            # the grid's inner engines too; the baseline engines have no audit
+            for audited in (eng, *getattr(eng, "_inner", ())):
+                if hasattr(audited, "audit"):
+                    audited.audit()
             ivs = list(state.intervals.values())
             assert is_conflict_free(ivs, state.assignment).ok, spec
             assert is_conflict_free_fast(ivs, state.assignment).ok, spec
