@@ -15,22 +15,19 @@ few colors and few recolorings, which the adversary demo shows is forced.
 import random
 
 from cfcolor import (
+    Delete,
     DynamicEngine,
     EpsilonEngine,
+    Insert,
     Interval,
     UniqueColorEngine,
-    is_conflict_free_fast,
+    replay,
 )
 
 
 def drive(engine, ops):
-    for op, payload in ops:
-        if op == "I":
-            engine.insert(payload)
-        else:
-            engine.delete(payload)
+    assert replay(engine, ops, audit="final").ok
     st = engine.state
-    assert is_conflict_free_fast(st.intervals.values(), st.assignment).ok
     return {
         "colors": len(st.colors_seen(include_dummy=True)),
         "total": st.ledger.total(),
@@ -43,10 +40,10 @@ ops = []
 live = []
 for i in range(4_000):
     if live and rng.random() < 0.35:
-        ops.append(("D", live.pop(rng.randrange(len(live)))))
+        ops.append(Delete(live.pop(rng.randrange(len(live)))))
     else:
         a = rng.uniform(0.0, 300.0)
-        ops.append(("I", Interval(i, a, a + rng.uniform(0.5, 9.0))))
+        ops.append(Insert(Interval(i, a, a + rng.uniform(0.5, 9.0))))
         live.append(i)
 
 print(f"{len(ops)} operations, {len(live)} intervals survive")

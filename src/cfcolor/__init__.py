@@ -34,6 +34,7 @@ from .core import (
     is_conflict_free_fast,
     parse_trace,
     format_trace,
+    replay,
     stabbing_set,
 )
 from .engine_dynamic import DynamicEngine, EpsilonEngine

@@ -18,8 +18,13 @@ intervals laid over the previous round:
   signature-determined engines are forced to color each round uniformly
   with a brand new color.
 
-Both drivers check the engine's coloring for conflict-freeness after
-every insertion and abort on the first violation.
+Both drivers run one round loop (_play): the same first round of n/2
+disjoint unit intervals, a full audit before each later round, and the
+same step that spans the left part of each group of consecutive members.
+Every insertion goes through core.replay, which audits it with the fast
+oracle.  The first violation, from either audit, stops the play with
+stop reason "cf-violation".  Without a given budget, both rerun with the
+observed recoloring maximum until the budget matches the engine.
 """
 
 from __future__ import annotations
@@ -33,10 +38,12 @@ from .chain import connected_components
 from .core import (
     Color,
     ColoringState,
+    Insert,
     Interval,
     InvariantError,
+    Verdict,
     is_conflict_free,
-    is_conflict_free_fast,
+    replay,
 )
 
 __all__ = [
@@ -182,15 +189,32 @@ class AdversaryReport:
         return len(self.rounds)
 
 
+class _Violation(Exception):
+    """The engine's coloring went bad; carries the failing verdict."""
+
+    def __init__(self, verdict: Verdict):
+        super().__init__(verdict.witness)
+        self.verdict = verdict
+
+
 class _Driver:
-    def __init__(self, engine, audit: str, track_locality: bool):
+    """One play of a driver: inserts through core.replay, audits, and
+    collects the rounds, designated colors and stars of its report."""
+
+    def __init__(self, engine, kind: str, n: int, r: int, audit: str,
+                 track_locality: bool):
         self.engine = engine
-        self.audit = audit
+        self.kind = kind
+        self.n = n
+        self.r = r
+        self.audit = "every" if audit == "every" else "none"
         self.locality = LocalityAudit() if track_locality else None
         self.ids = count()
         self.total = 0
-        self.cf_ok = True
-        self.cf_witness: float | None = None
+        self.verdict = Verdict(True)
+        self.rounds: list[list[Interval]] = []
+        self.designated: list[Color] = []
+        self.stars: list[list[Interval]] = []
         self._events: list[tuple[int, Color, bool]] = []
         self._prev_hook = engine.state.on_assign
         engine.state.on_assign = self._hook
@@ -203,9 +227,9 @@ class _Driver:
     def close(self) -> None:
         self.engine.state.on_assign = self._prev_hook
 
-    def insert(self, left: float, right: float) -> Interval | None:
-        """Insert, audit, and log locality evidence.  None means the
-        engine's coloring went bad and the run must stop."""
+    def insert(self, left: float, right: float) -> Interval:
+        """Insert, audit, and log locality evidence; raises _Violation
+        when the engine's coloring went bad."""
         state: ColoringState = self.engine.state
         iv = Interval(next(self.ids), left, right)
         sig = None
@@ -214,18 +238,12 @@ class _Driver:
                 list(state.intervals.values()), state.assignment, iv
             )
         self._events.clear()
-        self.engine.insert(iv)
+        verdict = replay(self.engine, [Insert(iv)], self.audit)
         self.total += 1
         if self.locality is not None:
             self._note_locality(iv, sig)
-        if self.audit == "every":
-            verdict = is_conflict_free_fast(
-                state.intervals.values(), state.assignment
-            )
-            if not verdict.ok:
-                self.cf_ok = False
-                self.cf_witness = verdict.witness
-                return None
+        if not verdict.ok:
+            raise _Violation(verdict)
         return iv
 
     def _note_locality(self, iv: Interval, sig: Signature) -> None:
@@ -249,107 +267,112 @@ class _Driver:
         response = (final_color, tuple(sorted(recolors)))
         self.locality.record(sig, response)
 
-    def round_audit(self) -> bool:
+    def round_audit(self) -> None:
         state = self.engine.state
         verdict = is_conflict_free(state.intervals.values(), state.assignment)
         if not verdict.ok:
-            self.cf_ok = False
-            self.cf_witness = verdict.witness
-            return False
-        return True
+            raise _Violation(verdict)
+
+    def span_groups(self, members: list[Interval], size: int, cut: int) -> None:
+        """Append the next round: per group of `size` consecutive members,
+        one interval from the group's first left end to just short of the
+        left end of its member `cut`."""
+        groups = [
+            members[g : g + size]
+            for g in range(0, len(members) - size + 1, size)
+        ]
+        eps = min(g[cut].left - g[cut - 1].right for g in groups) / 4
+        if eps <= 0:
+            raise InvariantError("group members out of order")
+        self.rounds.append([self.insert(g[0].left, g[cut].left - eps) for g in groups])
+
+    def report(self, reason: str) -> AdversaryReport:
+        state = self.engine.state
+        return AdversaryReport(
+            kind=self.kind,
+            n=self.n,
+            budget_r=self.r,
+            rounds=self.rounds,
+            designated=self.designated,
+            star_sizes=[len(s) for s in self.stars],
+            total_inserted=self.total,
+            max_recolor=state.ledger.max_per_update(),
+            colors_used=len(state.colors_seen()),
+            cf_ok=self.verdict.ok,
+            cf_witness=self.verdict.witness,
+            stop_reason=reason,
+            locality=self.locality,
+        )
 
 
-def _report(driver: _Driver, kind, n, r, rounds, designated, stars, reason):
-    state = driver.engine.state
-    return AdversaryReport(
-        kind=kind,
-        n=n,
-        budget_r=r,
-        rounds=rounds,
-        designated=designated,
-        star_sizes=[len(s) for s in stars],
-        total_inserted=driver.total,
-        max_recolor=state.ledger.max_per_update(),
-        colors_used=len(state.colors_seen()),
-        cf_ok=driver.cf_ok,
-        cf_witness=driver.cf_witness,
-        stop_reason=reason,
-        locality=driver.locality,
-    )
+def _play(driver: _Driver, next_round) -> AdversaryReport:
+    """The round loop both drivers share.
 
-
-def _general_once(engine, n: int, r: int, audit: str) -> AdversaryReport:
-    if r < 1:
-        raise InvariantError("general driver needs a recoloring budget >= 1")
-    driver = _Driver(engine, audit, track_locality=False)
-    state: ColoringState = engine.state
-    rounds: list[list[Interval]] = []
-    designated: list[Color] = []
-    stars: list[list[Interval]] = []
-    reason = "exhausted"
+    The first round is n/2 disjoint unit intervals.  Each later round
+    starts with a full audit; next_round(driver) then appends a round and
+    returns None, or returns the reason to stop.  A violation found by any
+    audit ends the play with stop reason "cf-violation".
+    """
     try:
-        first = []
-        for k in range(n // 2):
-            iv = driver.insert(2 * k, 2 * k + 1)
-            if iv is None:
-                return _report(
-                    driver, "general", n, r, rounds, designated, stars, "cf-violation"
-                )
-            first.append(iv)
+        first = [driver.insert(2 * k, 2 * k + 1) for k in range(driver.n // 2)]
         if not first:
-            return _report(driver, "general", n, r, rounds, designated, stars, "too-small")
-        rounds.append(first)
-        while True:
-            if not driver.round_audit():
-                reason = "cf-violation"
-                break
-            members = rounds[-1]
-            if not designated:
-                tally: dict[Color, int] = {}
-                for iv in members:
-                    col = state.assignment[iv.id]
-                    tally[col] = tally.get(col, 0) + 1
-                designated.append(
-                    min(tally.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-                )
-            else:
-                candidates = {
-                    state.assignment[iv.id] for iv in members
-                } - set(designated)
-                if not candidates:
-                    reason = "no-eligible-color"
-                    break
-                scored = []
-                for cand in sorted(candidates):
-                    living = living_rounds(rounds, designated + [cand], state.assignment.get)
-                    scored.append((len(living[-1]), cand))
-                best_count = max(s for s, _ in scored)
-                chosen = min(c for s, c in scored if s == best_count)
-                designated.append(chosen)
-            star = living_rounds(rounds, designated, state.assignment.get)[-1]
-            stars.append(star)
-            if len(star) < 4 * r:
-                break
-            groups = [
-                star[g : g + 4 * r]
-                for g in range(0, len(star) - 4 * r + 1, 4 * r)
-            ]
-            eps = min(g[2 * r].left - g[2 * r - 1].right for g in groups) / 4
-            if eps <= 0:
-                raise InvariantError("group members out of order")
-            nxt = []
-            for g in groups:
-                iv = driver.insert(g[0].left, g[2 * r].left - eps)
-                if iv is None:
-                    return _report(
-                        driver, "general", n, r, rounds, designated, stars,
-                        "cf-violation",
-                    )
-                nxt.append(iv)
-            rounds.append(nxt)
+            return driver.report("too-small")
+        driver.rounds.append(first)
+        reason = None
+        while reason is None:
+            driver.round_audit()
+            reason = next_round(driver)
+    except _Violation as exc:
+        driver.verdict = exc.verdict
+        reason = "cf-violation"
     finally:
         driver.close()
-    return _report(driver, "general", n, r, rounds, designated, stars, reason)
+    return driver.report(reason)
+
+
+def _adapt(play_once, engine_factory, budget_r, floor: int, max_adapt: int):
+    """The adaptive-budget loop of both drivers: play once with budget_r,
+    or else from r = floor, replaying with r = the observed recoloring
+    maximum while that exceeds r (at most max_adapt plays)."""
+    r = budget_r if budget_r is not None else floor
+    report = None
+    for attempt in range(1, max_adapt + 1):
+        report = play_once(engine_factory(), r)
+        report.adapt_iterations = attempt
+        if budget_r is not None or report.max_recolor <= r:
+            break
+        r = max(floor, report.max_recolor)
+    return report
+
+
+def _general_round(driver: _Driver) -> str | None:
+    """Designate a fresh color for the last round, then span the left
+    half of each group of 4r living members."""
+    state: ColoringState = driver.engine.state
+    rounds, designated, r = driver.rounds, driver.designated, driver.r
+    members = rounds[-1]
+    if not designated:
+        tally: dict[Color, int] = {}
+        for iv in members:
+            col = state.assignment[iv.id]
+            tally[col] = tally.get(col, 0) + 1
+        designated.append(min(tally.items(), key=lambda kv: (-kv[1], kv[0]))[0])
+    else:
+        candidates = {state.assignment[iv.id] for iv in members} - set(designated)
+        if not candidates:
+            return "no-eligible-color"
+        scored = []
+        for cand in sorted(candidates):
+            living = living_rounds(rounds, designated + [cand], state.assignment.get)
+            scored.append((len(living[-1]), cand))
+        best_count = max(s for s, _ in scored)
+        designated.append(min(c for s, c in scored if s == best_count))
+    star = living_rounds(rounds, designated, state.assignment.get)[-1]
+    driver.stars.append(star)
+    if len(star) < 4 * r:
+        return "exhausted"
+    driver.span_groups(star, 4 * r, 2 * r)
+    return None
 
 
 def run_general_adversary(
@@ -361,70 +384,26 @@ def run_general_adversary(
 ) -> AdversaryReport:
     """Adaptive wrapper: rerun with the observed recoloring maximum until
     the budget matches the engine's behavior (at most max_adapt runs)."""
-    r = budget_r if budget_r is not None else 1
-    report = None
-    for attempt in range(1, max_adapt + 1):
-        report = _general_once(engine_factory(), n, r, audit)
-        report.adapt_iterations = attempt
-        if budget_r is not None or report.max_recolor <= r:
-            break
-        r = max(1, report.max_recolor)
-    return report
+
+    def once(engine, r: int) -> AdversaryReport:
+        if r < 1:
+            raise InvariantError("general driver needs a recoloring budget >= 1")
+        return _play(_Driver(engine, "general", n, r, audit, False), _general_round)
+
+    return _adapt(once, engine_factory, budget_r, 1, max_adapt)
 
 
-def _local_once(engine, n: int, r: int, audit: str, signatures: bool) -> AdversaryReport:
-    if r < 0:
-        raise InvariantError("negative recoloring budget")
-    driver = _Driver(engine, audit, track_locality=signatures)
-    rounds: list[list[Interval]] = []
-    reason = "exhausted"
-    try:
-        first = []
-        for k in range(n // 2):
-            iv = driver.insert(2 * k, 2 * k + 1)
-            if iv is None:
-                return _report(
-                    driver, "local", n, r, rounds, [], [], "cf-violation"
-                )
-            first.append(iv)
-        if not first:
-            return _report(driver, "local", n, r, rounds, [], [], "too-small")
-        rounds.append(first)
-        size = r + 2
-        while True:
-            if not driver.round_audit():
-                reason = "cf-violation"
-                break
-            members = rounds[-1]
-            if len(members) == r + 1:
-                iv = driver.insert(members[0].left, 2 * n - 1)
-                if iv is None:
-                    reason = "cf-violation"
-                    break
-                rounds.append([iv])
-                reason = "final-span"
-                break
-            if len(members) < size:
-                break
-            groups = [
-                members[g : g + size]
-                for g in range(0, len(members) - size + 1, size)
-            ]
-            eps = min(g[r + 1].left - g[r].right for g in groups) / 4
-            if eps <= 0:
-                raise InvariantError("group members out of order")
-            nxt = []
-            for g in groups:
-                iv = driver.insert(g[0].left, g[r + 1].left - eps)
-                if iv is None:
-                    return _report(
-                        driver, "local", n, r, rounds, [], [], "cf-violation"
-                    )
-                nxt.append(iv)
-            rounds.append(nxt)
-    finally:
-        driver.close()
-    return _report(driver, "local", n, r, rounds, [], [], reason)
+def _local_round(driver: _Driver) -> str | None:
+    """Span the left r+1 members of each group of r+2; a last round of
+    exactly r+1 members gets one spanning interval and ends the play."""
+    members, r = driver.rounds[-1], driver.r
+    if len(members) == r + 1:
+        driver.rounds.append([driver.insert(members[0].left, 2 * driver.n - 1)])
+        return "final-span"
+    if len(members) < r + 2:
+        return "exhausted"
+    driver.span_groups(members, r + 2, r + 1)
+    return None
 
 
 def run_local_adversary(
@@ -435,15 +414,12 @@ def run_local_adversary(
     max_adapt: int = 3,
     signatures: bool = True,
 ) -> AdversaryReport:
-    r = budget_r if budget_r is not None else 0
-    report = None
-    for attempt in range(1, max_adapt + 1):
-        report = _local_once(engine_factory(), n, r, audit, signatures)
-        report.adapt_iterations = attempt
-        if budget_r is not None or report.max_recolor <= r:
-            break
-        r = max(0, report.max_recolor)
-    return report
+    def once(engine, r: int) -> AdversaryReport:
+        if r < 0:
+            raise InvariantError("negative recoloring budget")
+        return _play(_Driver(engine, "local", n, r, audit, signatures), _local_round)
+
+    return _adapt(once, engine_factory, budget_r, 0, max_adapt)
 
 
 # ---------------------------------------------------------------- tradeoff

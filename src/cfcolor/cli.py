@@ -10,6 +10,10 @@ Log vocabulary (one record per line, `#` comments allowed):
     E <t> <kind> <id1> <id2>  kinetic endpoint crossing
     SUMMARY key=value ...     footer totals
 
+`run`, `bench` and `adversary` apply ops through one loop, core.replay;
+`run` and `adversary` pass it a _RecordingEngine, which writes the I/D
+and A/R records.  `kinetic` streams the maintainer's own event loop.
+
 Exit codes: 0 ok, 1 conflict-freeness violation, 2 input error,
 3 internal invariant failure.
 """
@@ -35,7 +39,6 @@ from .core import (
     Insert,
     Interval,
     InvariantError,
-    Op,
     TraceError,
     format_color,
     format_number,
@@ -43,6 +46,7 @@ from .core import (
     is_conflict_free_fast,
     parse_number,
     parse_trace,
+    replay,
 )
 from .kinetic import KineticMaintainer, format_scenario, lowerbound_scenario, parse_scenario
 from .methods import build_engine, method_label, parse_method_spec, validate_method
@@ -98,22 +102,11 @@ def cmd_run(args) -> int:
     engine = build_engine(_method_from_args(args))
     ops = parse_trace(_read_text(args.trace).splitlines())
     with _Out(args.out) as out:
-        recorder = _RecordingEngine(engine, out)
+        verdict = replay(_RecordingEngine(engine, out), ops, args.audit)
+        if not verdict.ok:
+            print(f"conflict at {verdict.witness}", file=sys.stderr)
+            return EXIT_VIOLATION
         state = engine.state
-        for op in ops:
-            recorder.apply(op)
-            if args.audit == "every":
-                verdict = is_conflict_free_fast(
-                    state.intervals.values(), state.assignment
-                )
-                if not verdict.ok:
-                    print(f"conflict at {verdict.witness}", file=sys.stderr)
-                    return EXIT_VIOLATION
-        if args.audit == "final" and state.intervals:
-            verdict = is_conflict_free_fast(state.intervals.values(), state.assignment)
-            if not verdict.ok:
-                print(f"conflict at {verdict.witness}", file=sys.stderr)
-                return EXIT_VIOLATION
         colors = len(state.colors_seen(include_dummy=True))
         out.write(
             "SUMMARY colors={} n={} recolor_total={} recolor_max={}\n".format(
@@ -231,11 +224,7 @@ def cmd_bench(args) -> int:
                 engine = build_engine((name, params))
                 started = time.perf_counter()
                 try:
-                    for op in ops:
-                        if isinstance(op, Insert):
-                            engine.insert(op.interval)
-                        else:
-                            engine.delete(op.id)
+                    replay(engine, ops)
                 except (EngineError, InvariantError) as exc:
                     print(f"bench: {label} n={n}: {exc}", file=sys.stderr)
                     continue
@@ -439,18 +428,13 @@ class _RecordingEngine:
     def state(self):
         return self.engine.state
 
-    def apply(self, op: Op) -> None:
-        self.sink.write(format_op(op) + "\n")
-        if isinstance(op, Insert):
-            self.engine.insert(op.interval)
-        else:
-            self.engine.delete(op.id)
-
     def insert(self, interval: Interval) -> None:
-        self.apply(Insert(interval))
+        self.sink.write(format_op(Insert(interval)) + "\n")
+        self.engine.insert(interval)
 
     def delete(self, iid: int) -> None:
-        self.apply(Delete(iid))
+        self.sink.write(format_op(Delete(iid)) + "\n")
+        self.engine.delete(iid)
 
     def __getattr__(self, name):
         return getattr(self.engine, name)
@@ -497,12 +481,7 @@ def cmd_kinetic(args) -> int:
     with _Out(args.out) as out:
         for iid in sorted(km.colors):
             out.write(f"A {iid} {format_color(km.colors[iid])}\n")
-        last_eval = None
-        while True:
-            rec = km.step()
-            if rec is None:
-                break
-            last_eval = rec.t_eval
+        for rec in km._iter_run(args.audit):
             ev = rec.event
             out.write(
                 "E {} {} {} {}\n".format(
@@ -511,15 +490,6 @@ def cmd_kinetic(args) -> int:
             )
             for iid, color in rec.recolored:
                 out.write(f"R {iid} {format_color(color)}\n")
-            if args.audit == "every":
-                boundary = (
-                    km.cursor >= len(km.events)
-                    or km.events[km.cursor].time != ev.time
-                )
-                if boundary:
-                    km.check_invariants(rec.t_eval)
-        if args.audit in ("every", "final"):
-            km.check_invariants(last_eval if last_eval is not None else km.until)
         s = km.summary()
         out.write(
             "SUMMARY events={} recolor_total={} recolor_max={} colors={}\n".format(

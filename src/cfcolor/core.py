@@ -35,6 +35,7 @@ __all__ = [
     "stabbing_set",
     "is_conflict_free",
     "is_conflict_free_fast",
+    "replay",
     "parse_number",
     "format_number",
     "format_color",
@@ -484,6 +485,28 @@ def _cf_over_arrays(lefts, rights, colors, nondummy) -> Verdict:
     if odd:
         return Verdict(False, float(xs[k] / 2.0 + xs[k + 1] / 2.0))  # no overflow
     return Verdict(False, float(xs[k]))
+
+
+def replay(engine: EngineProtocol, ops: Iterable[Op], audit: str = "none") -> Verdict:
+    """Apply ops to an engine through insert/delete, auditing per the policy.
+
+    audit="every" checks conflict-freeness after each op and stops at the
+    first failing verdict; "final" checks once after the last op; "none"
+    never checks.  Returns the failing verdict, else Verdict(True).
+    """
+    state = engine.state
+    for op in ops:
+        if isinstance(op, Insert):
+            engine.insert(op.interval)
+        else:
+            engine.delete(op.id)
+        if audit == "every":
+            verdict = is_conflict_free_fast(state.intervals.values(), state.assignment)
+            if not verdict.ok:
+                return verdict
+    if audit == "final":
+        return is_conflict_free_fast(state.intervals.values(), state.assignment)
+    return Verdict(True)
 
 
 def parse_number(token: str):

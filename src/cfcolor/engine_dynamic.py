@@ -95,15 +95,6 @@ class DynamicEngine(LevelPaletteTree):
     def _maybe_rebuild(self) -> bool:
         return False
 
-    # ------------------------------------------------- standalone micro-ops
-
-    def split_child(self, parent: BNode, ci: int) -> None:
-        """Split a full child in place; rechains the affected nodes."""
-        self.state.ledger.begin()
-        batch = _Batch()
-        self._split_child(parent, ci, batch)
-        self._rechain(batch)
-
     # ------------------------------------------------------- key insertion
 
     def _insert_key(self, key: tuple, batch: _Batch) -> None:

@@ -165,6 +165,18 @@ def compute_events(trajectories, t0, until) -> list[Event]:
     return out
 
 
+def _merged_cover(starts, ends):
+    """Union of intervals given as (starts, ends) arrays sorted by start,
+    as the (starts, ends) arrays of its disjoint segments."""
+    if not starts.size:
+        return starts, ends
+    run = np.maximum.accumulate(ends)
+    new_seg = np.empty(starts.size, dtype=bool)
+    new_seg[0] = True
+    new_seg[1:] = starts[1:] > run[:-1]
+    return starts[new_seg], np.maximum.reduceat(ends, np.flatnonzero(new_seg))
+
+
 @dataclass
 class EventRecord:
     event: Event
@@ -265,14 +277,7 @@ class KineticMaintainer:
         cl = self._va0[cidx] + self._vva[cidx] * t
         cr = self._vb0[cidx] + self._vvb[cidx] * t
         o = np.argsort(cl, kind="stable")
-        cl, cr = cl[o], cr[o]
-        if not cl.size:
-            return cl, cr
-        run = np.maximum.accumulate(cr)
-        new_seg = np.empty(cl.size, dtype=bool)
-        new_seg[0] = True
-        new_seg[1:] = cl[1:] > run[:-1]
-        return cl[new_seg], np.maximum.reduceat(cr, np.flatnonzero(new_seg))
+        return _merged_cover(cl[o], cr[o])
 
     def _covered_by_chain(self, iid, t) -> bool:
         if self.exact:
@@ -482,13 +487,18 @@ class KineticMaintainer:
 
     def run(self, audit=None, stride=1):
         """Process all events; audit at batch boundaries per the policy."""
-        records = []
+        return list(self._iter_run(audit, stride))
+
+    def _iter_run(self, audit=None, stride=1):
+        """Generator form of run(): yields each record before its audit."""
         batches = 0
+        final_t = self.until
         while True:
             rec = self.step()
             if rec is None:
                 break
-            records.append(rec)
+            yield rec
+            final_t = rec.t_eval
             boundary = (
                 self.cursor >= len(self.events)
                 or self.events[self.cursor].time != rec.event.time
@@ -498,9 +508,7 @@ class KineticMaintainer:
                 if audit == "every" and batches % stride == 0:
                     self.check_invariants(rec.t_eval)
         if audit in ("every", "final"):
-            final_t = records[-1].t_eval if records else self.until
             self.check_invariants(final_t)
-        return records
 
     # ----------------------------------------------------------- checking
 
@@ -534,13 +542,7 @@ class KineticMaintainer:
                 a, b = self._vid[order[k]], self._vid[order[k + 2]]
                 raise InvariantError(f"chain members {a} and {b} both meet a point")
         # C2: non-chain intervals covered by the merged chain segments
-        run = np.maximum.accumulate(cr)
-        new_seg = np.empty(order.size, dtype=bool)
-        new_seg[0] = True
-        if order.size > 1:
-            new_seg[1:] = cl[1:] > run[:-1]
-        seg_starts = cl[new_seg]
-        seg_ends = np.maximum.reduceat(cr, np.flatnonzero(new_seg))
+        seg_starts, seg_ends = _merged_cover(cl, cr)
         nc = np.flatnonzero(~cmask)
         if nc.size:
             pos = np.searchsorted(seg_starts, lefts[nc], side="right") - 1

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from cfcolor.core import DUMMY, Color, Interval
+from cfcolor.core import DUMMY, Color, Delete, Insert, Interval
 
 
 def naive_conflict_free(intervals, assignment, rng: random.Random | None = None,
@@ -83,7 +83,7 @@ def random_instance(rng: random.Random, n: int, span: int = 40,
 
 def random_ops(rng: random.Random, count: int, universe: int = 64,
                p_delete: float = 0.45, min_len: int = 1, max_len: int | None = None):
-    """A random insert/delete op sequence; yields ('I', Interval) / ('D', id)."""
+    """A random list of core.Insert / core.Delete ops on an integer universe."""
     live: list[int] = []
     next_id = 0
     ops = []
@@ -93,14 +93,14 @@ def random_ops(rng: random.Random, count: int, universe: int = 64,
             iid = live[idx]
             live[idx] = live[-1]
             live.pop()
-            ops.append(("D", iid))
+            ops.append(Delete(iid))
         else:
             lo = rng.randrange(universe - min_len)
             span_cap = universe - 1 - lo
             if max_len is not None:
                 span_cap = min(span_cap, max_len)
             hi = lo + rng.randint(min_len, max(min_len, span_cap))
-            ops.append(("I", Interval(next_id, lo, hi)))
+            ops.append(Insert(Interval(next_id, lo, hi)))
             live.append(next_id)
             next_id += 1
     return ops

@@ -28,9 +28,12 @@ from cfcolor.cli import main as cli_main
 from cfcolor.core import (
     DUMMY,
     Color,
+    Delete,
+    Insert,
     Interval,
     is_conflict_free,
     is_conflict_free_fast,
+    replay,
 )
 from cfcolor.engine_dynamic import DynamicEngine, EpsilonEngine
 from cfcolor.engine_fixed import FixedChainEngine, FixedDistinctEngine
@@ -64,18 +67,18 @@ def lock(key: str, values: dict[str, float]) -> None:
 
 
 def random_ops(rng, count, p_delete=0.3, span=400.0, min_len=0.5, max_len=8.0):
-    """Insert/delete stream over real coordinates; yields (op, payload)."""
+    """Insert/delete stream over real coordinates; yields core ops."""
     live = []
     nid = 0
     for _ in range(count):
         if live and rng.random() < p_delete:
-            yield "D", live.pop(rng.randrange(len(live)))
+            yield Delete(live.pop(rng.randrange(len(live))))
         else:
             a = rng.uniform(0.0, span)
             iv = Interval(nid, a, a + rng.uniform(min_len, max_len))
             live.append(nid)
             nid += 1
-            yield "I", iv
+            yield Insert(iv)
 
 
 def int_ops(rng, count, universe, p_delete=0.3):
@@ -83,20 +86,13 @@ def int_ops(rng, count, universe, p_delete=0.3):
     nid = 0
     for _ in range(count):
         if live and rng.random() < p_delete:
-            yield "D", live.pop(rng.randrange(len(live)))
+            yield Delete(live.pop(rng.randrange(len(live))))
         else:
             a = rng.randrange(0, universe - 1)
             iv = Interval(nid, a, rng.randrange(a + 1, universe))
             live.append(nid)
             nid += 1
-            yield "I", iv
-
-
-def apply_op(engine, op, payload):
-    if op == "I":
-        engine.insert(payload)
-    else:
-        engine.delete(payload)
+            yield Insert(iv)
 
 
 # --------------------------------------------------------------------------
@@ -159,12 +155,9 @@ def test_03_distinct_engine_two_recolorings_per_update():
     rng = random.Random(31)
     engine = FixedDistinctEngine(2**10, 2)
     started = time.perf_counter()
-    for k, (op, payload) in enumerate(int_ops(rng, 100_000, 2**10), start=1):
-        apply_op(engine, op, payload)
-        if k % 100 == 0:
-            st = engine.state
-            verdict = is_conflict_free_fast(st.intervals.values(), st.assignment)
-            assert verdict.ok, f"op {k}: conflict at {verdict.witness}"
+    for k, op in enumerate(int_ops(rng, 100_000, 2**10), start=1):
+        verdict = replay(engine, [op], "every" if k % 100 == 0 else "none")
+        assert verdict.ok, f"op {k}: conflict at {verdict.witness}"
     elapsed = time.perf_counter() - started
     assert engine.state.ledger.max_per_update() <= 2
     bound = 1 + 6 * (engine.height + 1)
@@ -179,12 +172,9 @@ def test_03_distinct_engine_two_recolorings_per_update():
 def test_04_chain_engine_recolorings_within_4t(t):
     rng = random.Random(40 + t)
     engine = FixedChainEngine(2**12, t)
-    for k, (op, payload) in enumerate(int_ops(rng, 20_000, 2**12), start=1):
-        apply_op(engine, op, payload)
-        if k % 100 == 0:
-            st = engine.state
-            verdict = is_conflict_free_fast(st.intervals.values(), st.assignment)
-            assert verdict.ok, f"t={t} op {k}: conflict at {verdict.witness}"
+    for k, op in enumerate(int_ops(rng, 20_000, 2**12), start=1):
+        verdict = replay(engine, [op], "every" if k % 100 == 0 else "none")
+        assert verdict.ok, f"t={t} op {k}: conflict at {verdict.witness}"
     assert engine.state.ledger.max_per_update() <= 4 * t
     bound = 1 + 2 * (engine.height + 1)
     assert len(engine.state.colors_seen(include_dummy=True)) <= bound
@@ -197,11 +187,10 @@ def test_05_dynamic_engine_log_recoloring_locked():
         rng = random.Random(seed)
         engine = DynamicEngine(2)
         ledger = engine.state.ledger
-        for op, payload in random_ops(rng, 2_000):
-            apply_op(engine, op, payload)
-            st = engine.state
-            verdict = is_conflict_free_fast(st.intervals.values(), st.assignment)
+        for op in random_ops(rng, 2_000):
+            verdict = replay(engine, [op], "every")
             assert verdict.ok, f"seed {seed}: conflict at {verdict.witness}"
+            st = engine.state
             assert len(st.colors_in_use(include_dummy=True)) <= engine.max_colors()
             r_u = ledger.records[-1].count()
             if r_u:
@@ -221,13 +210,10 @@ def test_06_epsilon_engine_amortized_locked():
     rng = random.Random(60)
     engine = EpsilonEngine(eps)
     peak = 0
-    for k, (op, payload) in enumerate(random_ops(rng, 10_000), start=1):
-        apply_op(engine, op, payload)
+    for k, op in enumerate(random_ops(rng, 10_000), start=1):
+        verdict = replay(engine, [op], "every" if k % 500 == 0 else "none")
+        assert verdict.ok, f"op {k}: conflict at {verdict.witness}"
         peak = max(peak, engine.state.n)
-        if k % 500 == 0:
-            st = engine.state
-            verdict = is_conflict_free_fast(st.intervals.values(), st.assignment)
-            assert verdict.ok, f"op {k}: conflict at {verdict.witness}"
     amortized = engine.state.ledger.total() / 10_000
     c_fit = amortized * eps / peak**eps
     colors = len(engine.state.colors_seen(include_dummy=True))
@@ -243,14 +229,11 @@ def test_06_epsilon_engine_amortized_locked():
 def test_07_grid_engine_color_cap_33():
     rng = random.Random(70)
     engine = GridEngine(8, TrivialEngine)
-    for k, (op, payload) in enumerate(
+    for k, op in enumerate(
         random_ops(rng, 10_000, min_len=1.0, max_len=8.0 - 1e-9), start=1
     ):
-        apply_op(engine, op, payload)
-        if k <= 2_000 or k % 10 == 0:
-            st = engine.state
-            verdict = is_conflict_free_fast(st.intervals.values(), st.assignment)
-            assert verdict.ok, f"op {k}: conflict at {verdict.witness}"
+        verdict = replay(engine, [op], "every" if k <= 2_000 or k % 10 == 0 else "none")
+        assert verdict.ok, f"op {k}: conflict at {verdict.witness}"
     assert len(engine.state.colors_seen(include_dummy=True)) <= 33
 
 

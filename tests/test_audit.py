@@ -12,7 +12,7 @@ import random
 import pytest
 
 from cfcolor.btree import iter_nodes, node_extremes, node_pool
-from cfcolor.core import DUMMY, Color, Interval, InvariantError
+from cfcolor.core import DUMMY, Color, Interval, InvariantError, replay
 from cfcolor.engine_dynamic import DynamicEngine, EpsilonEngine
 from cfcolor.engine_fixed import FixedChainEngine, FixedDistinctEngine
 
@@ -30,8 +30,7 @@ FIXED = ["fixed-distinct", "fixed-chain"]
 
 def populated(name):
     eng = ENGINES[name][0]()
-    for kind, payload in random_ops(random.Random(5), 240, universe=64, p_delete=0.3):
-        eng.insert(payload) if kind == "I" else eng.delete(payload)
+    replay(eng, random_ops(random.Random(5), 240, universe=64, p_delete=0.3))
     eng.audit()
     return eng
 

@@ -6,8 +6,8 @@ import pytest
 
 from cfcolor import DUMMY, Interval, is_conflict_free, is_conflict_free_fast
 from cfcolor.btree import iter_nodes, node_pool
-from cfcolor.core import EngineError
-from cfcolor.engine_dynamic import DynamicEngine, EpsilonEngine
+from cfcolor.core import EngineError, replay
+from cfcolor.engine_dynamic import DynamicEngine, EpsilonEngine, _Batch
 
 from helpers import naive_conflict_free, random_ops
 
@@ -18,11 +18,8 @@ def snapshot_colors(eng):
 
 def apply_ops(eng, ops, check_every=1, rng=None):
     worst = 0
-    for i, (kind, payload) in enumerate(ops):
-        if kind == "I":
-            eng.insert(payload)
-        else:
-            eng.delete(payload)
+    for i, op in enumerate(ops):
+        replay(eng, [op])
         worst = max(worst, eng.state.ledger.records[-1].recolors)
         if i % check_every == 0:
             eng.audit()
@@ -86,15 +83,18 @@ class TestTreeMechanics:
 
     def test_standalone_split(self):
         eng = DynamicEngine(t=2)
-        eng.insert(Interval(1, 0, 10))  # root leaf holds 2 keys
+        eng.insert(Interval(1, 0, 10))
         eng.insert(Interval(2, 20, 30))
-        # force a parent so we can split the full child by hand
-        assert eng.height == 1
+        eng.insert(Interval(3, 2, 25))  # fills the right leaf to 2t-1 = 3 keys
         full = [c for c in eng.root.children if len(c.keys) == 3]
-        if full:
-            ci = eng.root.children.index(full[0])
-            eng.split_child(eng.root, ci)
-            eng.audit()
+        assert full
+        # split the full child by hand, as an insert descending into it would
+        batch = _Batch()
+        eng._split_child(eng.root, eng.root.children.index(full[0]), batch)
+        eng._rechain(batch)
+        assert len(eng.root.children) == 3
+        eng.audit()
+        assert eng.state.verdict()
 
     def test_standalone_split_rejects_non_full(self):
         eng = DynamicEngine(t=2)
@@ -102,7 +102,7 @@ class TestTreeMechanics:
         eng.insert(Interval(2, 2, 12))
         thin = [c for c in eng.root.children if len(c.keys) < 3]
         with pytest.raises(EngineError):
-            eng.split_child(eng.root, eng.root.children.index(thin[0]))
+            eng._split_child(eng.root, eng.root.children.index(thin[0]), _Batch())
 
     def test_deep_tree_then_drain(self):
         eng = DynamicEngine(t=2)

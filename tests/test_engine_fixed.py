@@ -4,19 +4,11 @@ import random
 
 import pytest
 
-from cfcolor import DUMMY, Color, Interval, is_conflict_free_fast
-from cfcolor.core import EngineError
+from cfcolor import DUMMY, Color, Interval
+from cfcolor.core import EngineError, replay
 from cfcolor.engine_fixed import FixedChainEngine, FixedDistinctEngine
 
 from helpers import naive_conflict_free, random_ops
-
-
-def run_ops(engine, ops):
-    for kind, payload in ops:
-        if kind == "I":
-            engine.insert(payload)
-        else:
-            engine.delete(payload)
 
 
 class TestConstruction:
@@ -100,8 +92,8 @@ class TestDistinctScheme:
     def test_recoloring_never_exceeds_two(self):
         rng = random.Random(2024)
         eng = FixedDistinctEngine(64, 2)
-        for kind, payload in random_ops(rng, 600, universe=64):
-            eng.insert(payload) if kind == "I" else eng.delete(payload)
+        for op in random_ops(rng, 600, universe=64):
+            replay(eng, [op])
             assert eng.state.ledger.records[-1].recolors <= 2
 
 
@@ -123,8 +115,8 @@ class TestChainScheme:
         rng = random.Random(77)
         for t in (2, 4):
             eng = FixedChainEngine(64, t)
-            for kind, payload in random_ops(rng, 400, universe=64):
-                eng.insert(payload) if kind == "I" else eng.delete(payload)
+            for op in random_ops(rng, 400, universe=64):
+                replay(eng, [op])
                 assert eng.state.ledger.records[-1].recolors <= 4 * t
 
 
@@ -134,10 +126,9 @@ def test_random_workload_stays_conflict_free(cls, t):
     rng = random.Random(hash((cls.__name__, t)) & 0xFFFF)
     eng = cls(64, t)
     ops = random_ops(rng, 500, universe=64)
-    for i, (kind, payload) in enumerate(ops):
-        eng.insert(payload) if kind == "I" else eng.delete(payload)
+    for i, op in enumerate(ops):
+        assert replay(eng, [op], "every")
         ivs = list(eng.state.intervals.values())
-        assert is_conflict_free_fast(ivs, eng.state.assignment)
         if i % 97 == 0:
             eng.audit()
             ok, witness = naive_conflict_free(ivs, eng.state.assignment, rng, extra_points=16)
@@ -149,5 +140,5 @@ def test_colors_stay_within_budget_across_workloads():
     rng = random.Random(5)
     for _ in range(5):
         eng = FixedDistinctEngine(256, 2)
-        run_ops(eng, random_ops(rng, 300, universe=256))
+        replay(eng, random_ops(rng, 300, universe=256))
         assert len(eng.state.colors_seen(include_dummy=True)) <= eng.max_colors()

@@ -5,9 +5,9 @@ import random
 
 import pytest
 
-from cfcolor import DUMMY, Interval, is_conflict_free, is_conflict_free_fast
+from cfcolor import DUMMY, Interval
 from cfcolor.baseline import TrivialEngine
-from cfcolor.core import EngineError
+from cfcolor.core import Delete, EngineError, Insert, replay
 from cfcolor.engine_dynamic import DynamicEngine
 from cfcolor.grid import GridEngine
 
@@ -20,11 +20,11 @@ def bounded_ops(rng, count, L, span=400, p_delete=0.4):
     ops = []
     for _ in range(count):
         if live and rng.random() < p_delete:
-            ops.append(("D", live.pop(rng.randrange(len(live)))))
+            ops.append(Delete(live.pop(rng.randrange(len(live)))))
         else:
             a = rng.uniform(-span / 4, span)
             length = rng.uniform(1, L - 1e-9)
-            ops.append(("I", Interval(nid, a, a + length)))
+            ops.append(Insert(Interval(nid, a, a + length)))
             live.append(nid)
             nid += 1
     return ops
@@ -101,15 +101,14 @@ class TestColorBudget:
         rng = random.Random(21)
         L = 8
         eng = GridEngine(L, TrivialEngine)
-        for kind, payload in bounded_ops(rng, 800, L):
-            eng.insert(payload) if kind == "I" else eng.delete(payload)
+        replay(eng, bounded_ops(rng, 800, L))
         assert len(eng.state.colors_seen(include_dummy=True)) <= 4 * L + 1
 
     def test_recolorings_at_most_one_with_first_fit_inner(self):
         rng = random.Random(22)
         eng = GridEngine(5, TrivialEngine)
-        for kind, payload in bounded_ops(rng, 500, 5):
-            eng.insert(payload) if kind == "I" else eng.delete(payload)
+        for op in bounded_ops(rng, 500, 5):
+            replay(eng, [op])
             assert eng.state.ledger.records[-1].recolors <= 1
 
 
@@ -118,10 +117,9 @@ class TestColorBudget:
 def test_soak_conflict_free_throughout(inner, label):
     rng = random.Random(hash(label) & 0xFFFF)
     eng = GridEngine(6, inner)
-    for i, (kind, payload) in enumerate(bounded_ops(rng, 400, 6, span=150)):
-        eng.insert(payload) if kind == "I" else eng.delete(payload)
+    for i, op in enumerate(bounded_ops(rng, 400, 6, span=150)):
+        assert replay(eng, [op], "every")
         ivs = list(eng.state.intervals.values())
-        assert is_conflict_free_fast(ivs, eng.state.assignment)
         if i % 29 == 0:
             eng.audit()
             ok, witness = naive_conflict_free(ivs, eng.state.assignment, rng, extra_points=8)

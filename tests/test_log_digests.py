@@ -1,4 +1,5 @@
-"""Byte lock on CLI output: run logs, an adversary transcript, a bench CSV.
+"""Byte lock on CLI output: run logs, adversary transcripts, kinetic logs,
+a bench CSV.
 
 Each artifact is produced in-process from a fixed trace and compared, as a
 sha256 hex string, with tests/golden/log_digests.json.  A change that
@@ -40,8 +41,7 @@ def _cli(tmp_path: Path, name: str, *argv: str) -> str:
 
 
 def _integer_trace() -> str:
-    ops = random_ops(random.Random(11), 800, universe=256)
-    return format_trace(Insert(p) if kind == "I" else Delete(p) for kind, p in ops)
+    return format_trace(random_ops(random.Random(11), 800, universe=256))
 
 
 def _long_overlap_trace() -> str:
@@ -66,6 +66,7 @@ def artifacts(tmp_path: Path) -> dict[str, str]:
         "random": _cli(tmp_path, "random.trace", "gen", "random", "--n", "800", "--seed", "7"),
         "bounded": _cli(tmp_path, "bounded.trace", "gen", "bounded-length",
                         "--n", "800", "--seed", "7", "--L", "8"),
+        "kinetic": _cli(tmp_path, "kinetic.scn", "gen", "kinetic-lb", "--n", "2"),
         "integer": _integer_trace(),
         "long": _long_overlap_trace(),
     }
@@ -78,9 +79,21 @@ def artifacts(tmp_path: Path) -> dict[str, str]:
                     "--trace", str(paths[kind]), "--audit", "final")
         for label, (spec, kind) in RUNS.items()
     }
+    out["run dynamic:t=2 audit=every"] = _cli(
+        tmp_path, "run.log", "run", "--method", "dynamic:t=2",
+        "--trace", str(paths["random"]), "--audit", "every")
     out["adversary general n=128 dynamic:t=2"] = _cli(
         tmp_path, "adv.log", "adversary", "--kind", "general", "--n", "128",
         "--engine", "dynamic:t=2")
+    out["adversary local n=64 dynamic:t=2"] = _cli(
+        tmp_path, "adv.log", "adversary", "--kind", "local", "--n", "64",
+        "--engine", "dynamic:t=2")
+    horizon = traces["kinetic"].splitlines()[0].split()[-1]
+    for label, extra in (("kinetic lb n=2 audit=every", ()),
+                         ("kinetic lb n=2 audit=every exact", ("--exact",))):
+        out[label] = _cli(
+            tmp_path, "kinetic.log", "kinetic", "--scenario", str(paths["kinetic"]),
+            "--until", horizon, "--audit", "every", *extra)
     out["bench"] = _cli(
         tmp_path, "bench.csv", "bench", "--method", "dynamic:t=2",
         "--method", "fixed-distinct:U=128", "--method", "fixed-chain:U=128,t=3",
