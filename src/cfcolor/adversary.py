@@ -181,6 +181,7 @@ class AdversaryReport:
     cf_ok: bool
     cf_witness: float | None
     stop_reason: str
+    cf_gap: tuple[float, float] | None = None
     locality: LocalityAudit | None = None
     adapt_iterations: int = 1
 
@@ -300,6 +301,7 @@ class _Driver:
             colors_used=len(state.colors_seen()),
             cf_ok=self.verdict.ok,
             cf_witness=self.verdict.witness,
+            cf_gap=self.verdict.gap,
             stop_reason=reason,
             locality=self.locality,
         )

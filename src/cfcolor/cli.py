@@ -98,13 +98,21 @@ def _method_from_args(args) -> tuple[str, dict]:
     return validate_method(args.method, flags)
 
 
+def _report_conflict(witness, gap) -> None:
+    """Print the conflict line, and name the gap when the witness, its
+    midpoint, rounded onto one of its endpoints (adjacent floats)."""
+    print(f"conflict at {witness}", file=sys.stderr)
+    if gap is not None and witness in gap:
+        print(f"conflict in the open gap between {gap[0]!r} and {gap[1]!r}", file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     engine = build_engine(_method_from_args(args))
     ops = parse_trace(_read_text(args.trace).splitlines())
     with _Out(args.out) as out:
         verdict = replay(_RecordingEngine(engine, out), ops, args.audit)
         if not verdict.ok:
-            print(f"conflict at {verdict.witness}", file=sys.stderr)
+            _report_conflict(verdict.witness, verdict.gap)
             return EXIT_VIOLATION
         state = engine.state
         colors = len(state.colors_seen(include_dummy=True))
@@ -305,7 +313,7 @@ def cmd_verify(args) -> int:
             if tag in ("I", "D"):
                 bad = close_op(lineno)
                 if bad is not None:
-                    print(f"conflict at {bad.witness}", file=sys.stderr)
+                    _report_conflict(bad.witness, bad.gap)
                     return EXIT_VIOLATION
                 if tag == "I":
                     if len(parts) != 4:
@@ -366,7 +374,7 @@ def cmd_verify(args) -> int:
             elif tag == "SUMMARY":
                 bad = close_op(lineno)
                 if bad is not None:
-                    print(f"conflict at {bad.witness}", file=sys.stderr)
+                    _report_conflict(bad.witness, bad.gap)
                     return EXIT_VIOLATION
                 measured = {
                     "colors": len(seen),
@@ -390,7 +398,7 @@ def cmd_verify(args) -> int:
                 raise fail(lineno, f"unknown record {tag!r}")
         bad = close_op(len(log_lines))
         if bad is not None:
-            print(f"conflict at {bad.witness}", file=sys.stderr)
+            _report_conflict(bad.witness, bad.gap)
             return EXIT_VIOLATION
         if trace_ops is not None and op_index != len(trace_ops):
             raise _LogMismatch(
@@ -465,7 +473,7 @@ def cmd_adversary(args) -> int:
             )
         )
     if not report.cf_ok:
-        print(f"conflict at {report.cf_witness}", file=sys.stderr)
+        _report_conflict(report.cf_witness, report.cf_gap)
         return EXIT_VIOLATION
     return EXIT_OK
 

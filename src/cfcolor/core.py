@@ -127,10 +127,16 @@ class TraceError(ValueError):
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of a conflict-freeness check; witness is a violating point."""
+    """Outcome of a conflict-freeness check; witness is a violating point.
+
+    When the violation is in the open gap between two consecutive distinct
+    endpoints, gap names them; the witness a/2 + b/2 can round onto a or b
+    when they are adjacent floats.
+    """
 
     ok: bool
     witness: float | None = None
+    gap: tuple[float, float] | None = field(default=None, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -381,9 +387,10 @@ def is_conflict_free(
             i += 1
         if active:
             # open region between x and the next endpoint
-            mid = x / 2.0 + events[i][0] / 2.0  # no overflow near the float limit
+            nxt = events[i][0]
             if uniq == 0:
-                return Verdict(False, mid)
+                # no overflow near the float limit
+                return Verdict(False, x / 2.0 + nxt / 2.0, (x, nxt))
     return Verdict(True)
 
 
@@ -483,7 +490,8 @@ def _cf_over_arrays(lefts, rights, colors, nondummy) -> Verdict:
         return Verdict(True)
     k, odd = divmod(int(bad.argmax()), 2)
     if odd:
-        return Verdict(False, float(xs[k] / 2.0 + xs[k + 1] / 2.0))  # no overflow
+        a, b = float(xs[k]), float(xs[k + 1])
+        return Verdict(False, a / 2.0 + b / 2.0, (a, b))  # no overflow
     return Verdict(False, float(xs[k]))
 
 

@@ -14,6 +14,22 @@ most three recolorings.  The geometry right before and right after an
 event is probed at midpoints toward the neighboring event times, so the
 decisions never evaluate at the degenerate instant itself.
 
+check_invariants(t) audits C1-C3, the color rule and conflict-freeness.
+In float mode every passing audit leaves a certificate: the cursor, t,
+and copies of the chain, the palette codes and the chain mask.  When the
+events since then form exactly one whole batch, the certificate's time
+lies after the batch before it, and t lies between this batch and the
+next crossing of any kind, the endpoint order at t differs from the
+certified one only at the batch's crossing pairs: the locality argument
+of kinetic data structures (Basch, Guibas and Hershberger, SODA 1997).
+The audit then examines only what the batch touched (ids whose membership
+or code differs from the certificate's, and the event pairs) and its
+neighbourhood: chain positions within two places, and intervals meeting
+an event window, a dropped member's span or a recolored span.  Any other
+call (the first one, a stride above one, audit="final", a run's closing
+audit, or an arbitrary t) audits the whole state; exact mode always runs
+the plain sweep.
+
 The module also contains the machinery for the quadratic lower bound:
 rigid 4-interval gadgets whose pairwise overlap patterns admit no valid
 4-coloring, and a scenario that drives n moving gadgets through n parked
@@ -28,6 +44,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,6 +194,78 @@ def _merged_cover(starts, ends):
     return starts[new_seg], np.maximum.reduceat(ends, np.flatnonzero(new_seg))
 
 
+def _event_window(ev, vpos, lefts, rights):
+    """The span between an event's two crossing endpoints at the arrays' time."""
+    i, j = vpos[ev.id1], vpos[ev.id2]
+    if ev.kind == "LL":
+        x, y = lefts.item(i), lefts.item(j)
+    elif ev.kind == "RR":
+        x, y = rights.item(i), rights.item(j)
+    else:  # RL kinds: id1 owns the right endpoint, id2 the left one
+        x, y = rights.item(i), lefts.item(j)
+    return (x, y) if x <= y else (y, x)
+
+
+def _meeting(lefts, rights, spans):
+    """Mask of the intervals that meet at least one closed span."""
+    near = np.zeros(lefts.size, dtype=bool)
+    for lo, hi in spans:
+        near |= (lefts <= hi) & (rights >= lo)
+    return near
+
+
+def _first_conflict_within(windows, lefts, rights, codes, nondummy):
+    """First point inside a closed window whose stabbing set has no color
+    occurring exactly once, or None.
+
+    Sweeps, in plain Python, only the intervals that meet a window: those
+    hold every stabbing set of a point inside one.  Like _cf_over_arrays
+    it visits each distinct endpoint and each covered gap between two
+    consecutive ones; codes index a palette whose dummy mask is nondummy.
+    """
+    sel = _meeting(lefts, rights, windows).nonzero()[0]
+    cs = codes[sel].tolist()
+    evs = [(x, 0, c) for x, c in zip(lefts[sel].tolist(), cs)]
+    evs += [(x, 1, c) for x, c in zip(rights[sel].tolist(), cs)]
+    evs.sort()
+    counts = dict.fromkeys(cs, 0)
+    uniq = active = 0
+    i, m = 0, len(evs)
+    while i < m:
+        x = evs[i][0]
+        while i < m and evs[i][0] == x and evs[i][1] == 0:
+            c = evs[i][2]
+            k = counts[c] = counts[c] + 1
+            if nondummy[c]:
+                uniq += 1 if k == 1 else -(k == 2)
+            active += 1
+            i += 1
+        if active and not uniq and any(a <= x <= b for a, b in windows):
+            return x
+        while i < m and evs[i][0] == x:
+            c = evs[i][2]
+            k = counts[c] = counts[c] - 1
+            if nondummy[c]:
+                uniq += 1 if k == 1 else -(k == 0)
+            active -= 1
+            i += 1
+        if active and not uniq:
+            nx = evs[i][0]
+            if any(a <= x and nx <= b for a, b in windows):
+                return x / 2.0 + nx / 2.0
+    return None
+
+
+class _Certificate(NamedTuple):
+    """State at a passing check: cursor, time, chain, codes and chain mask."""
+
+    cursor: int
+    t: float
+    chain: set
+    codes: np.ndarray
+    mask: np.ndarray
+
+
 @dataclass
 class EventRecord:
     event: Event
@@ -223,11 +312,14 @@ class KineticMaintainer:
         self.colors: dict[int, Color] = {}
         self.seen: set[Color] = set()
         self.chain: set[int] = set()
+        # the chain as a mask over _vid, kept by _chain_add/_chain_drop
+        self._chain_mask = np.zeros(len(self.trajs), dtype=bool)
         self._prev_time = t0
         self._half = Fraction(1, 2) if exact else 0.5
         self.exact = exact
         # coefficient arrays for the vectorized audit, aligned to _vid
         self._vid = sorted(self.trajs)
+        self._vid_arr = np.array(self._vid)
         self._vpos = {iid: k for k, iid in enumerate(self._vid)}
         if not exact:
             self._va0 = np.array([float(self.trajs[i].a0) for i in self._vid])
@@ -240,6 +332,8 @@ class KineticMaintainer:
         self._nondummy = np.zeros(0, dtype=bool)
         self._codes = np.zeros(len(self._vid), dtype=np.intp)
         self._recolored_buf: list[tuple[int, Color]] = []
+        # state at the last passing float-mode check; see check_invariants
+        self._cert: _Certificate | None = None
         self._init_chain()
 
     # ------------------------------------------------------------ geometry
@@ -248,7 +342,13 @@ class KineticMaintainer:
         return [tr.at(t) for tr in self.trajs.values()]
 
     def _order(self, t) -> list[int]:
-        return sorted(self.chain, key=lambda i: (self.trajs[i].left(t), i))
+        """Chain members by (left endpoint at t, id)."""
+        if self.exact:
+            return sorted(self.chain, key=lambda i: (self.trajs[i].left(t), i))
+        cidx = np.flatnonzero(self._chain_mask)
+        # positions ascend with ids, so they break ties in left as ids do
+        order = cidx[np.lexsort((cidx, self._va0[cidx] + self._vva[cidx] * t))]
+        return self._vid_arr[order].tolist()
 
     def _neighbor(self, order, iid, side):
         pos = order.index(iid)
@@ -271,9 +371,7 @@ class KineticMaintainer:
 
     def _chain_segments(self, t):
         """Merged chain cover as sorted (starts, ends) arrays; float mode."""
-        cidx = np.fromiter(
-            (self._vpos[i] for i in self.chain), dtype=np.intp, count=len(self.chain)
-        )
+        cidx = np.flatnonzero(self._chain_mask)
         cl = self._va0[cidx] + self._vva[cidx] * t
         cr = self._vb0[cidx] + self._vvb[cidx] * t
         o = np.argsort(cl, kind="stable")
@@ -294,18 +392,24 @@ class KineticMaintainer:
 
     def _init_chain(self):
         snap = self.snapshot(self.t0)
-        chain_ids = set()
         coloring: dict[int, Color] = {iv.id: DUMMY for iv in snap}
         for comp in connected_components(snap):
             links = build_chain(comp)
             for k, iv in enumerate(links):
-                chain_ids.add(iv.id)
+                self._chain_add(iv.id)
                 coloring[iv.id] = CHAIN_PALETTE[k % 2]
-        self.chain = chain_ids
         self.colors = coloring
         self.seen = set(coloring.values())
         for iid, color in coloring.items():
             self._codes[self._vpos[iid]] = self._code_of(color)
+
+    def _chain_add(self, iid):
+        self.chain.add(iid)
+        self._chain_mask[self._vpos[iid]] = True
+
+    def _chain_drop(self, iid):
+        self.chain.discard(iid)
+        self._chain_mask[self._vpos[iid]] = False
 
     def _code_of(self, color) -> int:
         j = self._pindex.get(color)
@@ -392,10 +496,10 @@ class KineticMaintainer:
             if y not in self.chain:
                 raise InvariantError(f"uncovered escape from non-chain interval {y}")
             nb = self._neighbor(self._order(t_after), y, side)
-            self.chain.add(x)
+            self._chain_add(x)
             removed = []
             if nb is not None and self._intersects(x, nb, t_after):
-                self.chain.discard(y)
+                self._chain_drop(y)
                 removed.append(y)
                 self._set(y, DUMMY)
             self._color_added(x, t_after)
@@ -406,18 +510,18 @@ class KineticMaintainer:
             order = self._order(t_after)
             n1 = self._neighbor(order, x, side)
             n2 = self._neighbor(order, n1, side) if n1 is not None else None
-            self.chain.discard(x)
+            self._chain_drop(x)
             removed = [x]
             self._set(x, DUMMY)
             if y in self.chain:
                 return None, removed
-            self.chain.add(y)
+            self._chain_add(y)
             if (
                 n1 is not None
                 and n2 is not None
                 and self._intersects(n2, y, t_after)
             ):
-                self.chain.discard(n1)
+                self._chain_drop(n1)
                 removed.append(n1)
                 self._set(n1, DUMMY)
             self._color_added(y, t_after)
@@ -438,7 +542,7 @@ class KineticMaintainer:
         removed = []
         if between:
             mid = between[0]
-            self.chain.discard(mid)
+            self._chain_drop(mid)
             removed.append(mid)
             self._set(mid, DUMMY)
         # the pair is adjacent now; break a color tie by recoloring the left one
@@ -470,14 +574,14 @@ class KineticMaintainer:
         order = self._order(t_after)
         old_pred = self._neighbor(order, left_id, "pred")
         old_succ = self._neighbor(order, right_id, "succ")
-        self.chain.add(bridge)
+        self._chain_add(bridge)
         removed = []
         if old_pred is not None and self._intersects(bridge, old_pred, t_after):
-            self.chain.discard(left_id)
+            self._chain_drop(left_id)
             removed.append(left_id)
             self._set(left_id, DUMMY)
         if old_succ is not None and self._intersects(bridge, old_succ, t_after):
-            self.chain.discard(right_id)
+            self._chain_drop(right_id)
             removed.append(right_id)
             self._set(right_id, DUMMY)
         self._color_added(bridge, t_after)
@@ -513,10 +617,168 @@ class KineticMaintainer:
     # ----------------------------------------------------------- checking
 
     def check_invariants(self, t):
+        """Raise InvariantError unless chain and coloring are valid at t.
+
+        A float-mode check right after one event batch, with the previous
+        passing check before that batch, checks only what the batch can
+        have changed (_check_invariants_delta); every other call checks the
+        whole state.
+        """
         if self.exact:
             self._check_invariants_sweep(t)
+            return
+        cert, self._cert = self._cert, None
+        if cert is not None and self._delta_applies(cert, t):
+            self._check_invariants_delta(t, cert)
         else:
             self._check_invariants_fast(t)
+        self._cert = _Certificate(
+            self.cursor, t, set(self.chain), self._codes.copy(), self._chain_mask.copy()
+        )
+
+    def _delta_applies(self, cert, t) -> bool:
+        """Do exactly the crossings of one whole batch lie between cert.t and t?
+
+        Every crossing up to the horizon is an event, and _next_time holds
+        the next crossing of any kind, so then the endpoint order at t
+        differs from the certified one only by that batch's swaps.
+        """
+        c0, c1 = cert.cursor, self.cursor
+        if c1 <= c0:
+            return False
+        when = self.events[c0].time
+        if self.events[c1 - 1].time != when:
+            return False
+        if c1 < len(self.events) and self.events[c1].time == when:
+            return False
+        before = self.events[c0 - 1].time if c0 else self.t0
+        nxt = self._next_time[c1 - 1]
+        return before < cert.t < when < t and (nxt is None or t < nxt)
+
+    def _check_invariants_delta(self, t, cert):
+        """The audit restricted to what changed since the certificate.
+
+        Touched ids are those whose chain membership or palette code differs
+        from the certificate's, and the batch's event pairs.  Checked are the
+        color rule on touched ids; C1 and the overlapping-neighbour rule near
+        touched chain members and the slots of dropped ones; C2 for touched
+        non-chain intervals and those meeting an event window or a dropped
+        member's span; C3 for the LL/RR pairs and for added members against
+        all intervals; conflict-freeness inside event windows and recolored
+        spans.  An event window spans the event's two crossing endpoints.
+        """
+        vid, vpos, chain = self._vid, self._vpos, self.chain
+        mask, codes = self._chain_mask, self._codes
+        lefts = self._va0 + self._vva * t
+        rights = self._vb0 + self._vvb * t
+        batch = self.events[cert.cursor : self.cursor]
+        moved = chain ^ cert.chain
+        added = {i for i in moved if i in chain}
+        touched = set(moved)
+        touched.update(map(vid.__getitem__, (mask != cert.mask).nonzero()[0].tolist()))
+        touched.update(map(vid.__getitem__, (codes != cert.codes).nonzero()[0].tolist()))
+        for ev in batch:
+            touched.add(ev.id1)
+            touched.add(ev.id2)
+        if not chain:
+            raise InvariantError("empty chain with live intervals")
+        dummy_j = self._pindex.get(DUMMY, -1)
+        for iid in sorted(touched):
+            k = vpos[iid]
+            member = iid in chain
+            if mask.item(k) != member:
+                raise InvariantError(f"chain mask out of sync at interval {iid}")
+            if member and codes.item(k) == dummy_j:
+                raise InvariantError(f"chain member {iid} is dummy")
+            if not member and codes.item(k) != dummy_j:
+                raise InvariantError(
+                    f"non-chain interval {iid} has color {self.colors[iid]}"
+                )
+
+        # C1 and overlapping neighbours, within two places of each change
+        cidx = mask.nonzero()[0]
+        order = cidx[lefts[cidx].argsort(kind="stable")]
+        cl, cr, cc = lefts[order], rights[order], codes[order]
+        rank = np.empty(len(vid), dtype=np.intp)
+        rank[order] = np.arange(order.size)
+        dropped = [vpos[i] for i in moved - added]
+        anchors = {rank.item(vpos[i]) for i in touched if i in chain}
+        if dropped:
+            anchors.update(cl.searchsorted(lefts[dropped]).tolist())
+        size = order.size
+        for k in sorted({a + d for a in anchors for d in (-2, -1, 0, 1)}):
+            if k < 0 or k + 1 >= size:
+                continue
+            if k + 2 < size and cr.item(k) >= cl.item(k + 2):
+                a, b = vid[order.item(k)], vid[order.item(k + 2)]
+                raise InvariantError(f"chain members {a} and {b} both meet a point")
+            if cl.item(k + 1) <= cr.item(k) and cc.item(k + 1) == cc.item(k):
+                a, b = vid[order.item(k)], vid[order.item(k + 1)]
+                raise InvariantError(f"overlapping chain members {a}, {b} share a color")
+
+        # C2 wherever the cover or a covered interval may have changed
+        spans = [_event_window(ev, vpos, lefts, rights) for ev in batch]
+        spans += [(lefts.item(k), rights.item(k)) for k in dropped]
+        near = _meeting(lefts, rights, spans)
+        near[[vpos[i] for i in touched]] = True
+        nc = (near & ~mask).nonzero()[0]
+        starts = cl.searchsorted(lefts[nc], side="right").tolist()
+        for k, p, lx, rx in zip(
+            nc.tolist(), starts, lefts[nc].tolist(), rights[nc].tolist()
+        ):
+            # walk the members from the last one starting at or before lx;
+            # if the walk stops short of rx, an earlier long member may
+            # still cover, so the merged cover decides
+            p -= 1
+            reach = cr.item(p) if p >= 0 else lx
+            while p >= 0 and reach < rx and p + 1 < size and cl.item(p + 1) <= reach:
+                p += 1
+                reach = max(reach, cr.item(p))
+            if p < 0 or reach < rx:
+                seg_starts, seg_ends = _merged_cover(cl, cr)
+                seg = int(seg_starts.searchsorted(lx, side="right")) - 1
+                if seg < 0 or rx > seg_ends[seg]:
+                    raise InvariantError(f"interval {vid[k]} escapes the chain cover")
+
+        # C3: containment changes only at LL/RR swaps and for new members
+        for ev in batch:
+            if ev.kind in ("LL", "RR"):
+                for m, y in ((ev.id1, ev.id2), (ev.id2, ev.id1)):
+                    km, ky = vpos[m], vpos[y]
+                    lm, ly = lefts.item(km), lefts.item(ky)
+                    earlier = ly < lm or (ly == lm and ky < km)
+                    if m in chain and earlier and rights.item(km) <= rights.item(ky):
+                        raise InvariantError(f"chain member {m} is contained")
+        for m in added:
+            km = vpos[m]
+            hit = (lefts <= lefts[km]) & (rights >= rights[km])
+            hit[km] = False
+            # an equal left counts only for an earlier position, as in a stable sort
+            hit[km + 1 :] &= lefts[km + 1 :] < lefts[km]
+            if hit.any():
+                raise InvariantError(f"chain member {m} is contained")
+
+        x = self._conflict_since(cert, lefts, rights)
+        if x is not None:
+            raise InvariantError(f"coloring not conflict-free at {x}")
+
+    def _conflict_since(self, cert, lefts, rights):
+        """A point without a unique color inside the batch's event windows or
+        the span of an id recolored since cert, or None.  Elsewhere the
+        stabbing sets and their colors are the certified ones."""
+        windows = [
+            _event_window(ev, self._vpos, lefts, rights)
+            for ev in self.events[cert.cursor : self.cursor]
+        ]
+        windows += [
+            (lefts.item(k), rights.item(k))
+            for k in (self._codes != cert.codes).nonzero()[0].tolist()
+        ]
+        if not windows:
+            return None
+        return _first_conflict_within(
+            windows, lefts, rights, self._codes, self._nondummy.tolist()
+        )
 
     def _check_invariants_fast(self, t):
         """Array form of the audit; semantics match the sweep form."""
@@ -532,6 +794,8 @@ class KineticMaintainer:
             return
         cmask = np.zeros(n, dtype=bool)
         cmask[cidx] = True
+        if not np.array_equal(cmask, self._chain_mask):
+            raise InvariantError("chain mask out of sync with the chain")
         order = cidx[np.argsort(lefts[cidx], kind="stable")]
         cl, cr = lefts[order], rights[order]
         # C1: two-apart chain members are strictly disjoint

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import subprocess
 import sys
 
@@ -195,6 +196,28 @@ class TestVerify:
         code, _, err = cli(capsys, "verify", "--log", log)
         assert code == 1
         assert "conflict at" in err
+
+    def test_conflict_between_adjacent_floats_names_the_gap(self, capsys, tmp_path):
+        # only the gap (1, b) sees two reds and no blue; its midpoint is 1.0
+        b = repr(math.nextafter(1.0, 2.0))
+        log = write(
+            tmp_path, "adjacent.log",
+            f"I 2 0.5 1\nA 2 0 1\nI 3 {b} 2.5\nA 3 0 1\n"
+            f"I 0 0 {b}\nA 0 0 0\nI 1 1 3\nA 1 0 0\n",
+        )
+        code, _, err = cli(capsys, "verify", "--log", log)
+        assert code == 1
+        assert err.splitlines() == [
+            "conflict at 1.0",
+            f"conflict in the open gap between 1.0 and {b}",
+        ]
+
+    def test_conflict_line_alone_when_the_witness_is_inside_the_gap(self, capsys, tmp_path):
+        log = write(
+            tmp_path, "wide.log",
+            "I 2 0.5 1\nA 2 0 1\nI 3 2 2.5\nA 3 0 1\nI 0 0 2\nA 0 0 0\nI 1 1 3\nA 1 0 0\n",
+        )
+        assert cli(capsys, "verify", "--log", log)[2].splitlines() == ["conflict at 1.5"]
 
     def test_missing_assignment_is_exit_2(self, capsys, tmp_path):
         log = write(tmp_path, "gap.log", "I 0 1 5\nI 1 2 6\nA 1 0 0\n")

@@ -203,6 +203,7 @@ class TestOracle:
         slow = is_conflict_free(ivs, assignment)
         assert not slow.ok
         assert is_conflict_free_fast(ivs, assignment) == slow
+        assert slow.gap == is_conflict_free_fast(ivs, assignment).gap == (a, b)
 
     def test_array_core_in_kinetic_layout(self):
         # codes number colors in first-met order: the dummy sits at code 2,

@@ -3,9 +3,10 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from cfcolor.core import DUMMY, EngineError, InvariantError, TraceError
+from cfcolor.core import DUMMY, EngineError, InvariantError, TraceError, _cf_over_arrays
 from cfcolor.kinetic import (
     CHAIN_PALETTE,
     GADGET_REGIONS,
@@ -155,7 +156,7 @@ class TestRandomScenarios:
             assert len(km.seen) <= 4
 
     def test_summary_matches_the_ledger(self):
-        rng = random.Random(5)
+        rng = random.Random(9)
         trajs = random_scenario(rng, 12)
         km = KineticMaintainer(trajs, 0.0, 10.0)
         km.run(audit="final")
@@ -182,6 +183,139 @@ class TestRandomScenarios:
                     break
                 km._check_invariants_fast(rec.t_eval)
                 km._check_invariants_sweep(rec.t_eval)
+
+
+def _passes(check, t) -> bool:
+    try:
+        check(t)
+    except InvariantError:
+        return False
+    return True
+
+
+def _plant_fault(km, rng, cert):
+    """Break the state in one of four ways; returns the undo.
+
+    Undoing the batch's repairs needs a certificate; without one that
+    draw becomes a raw write.
+    """
+    palette = [*CHAIN_PALETTE, DUMMY]
+    kind = rng.choice(("recolor", "chain", "chain", "raw", "unrepaired"))
+    if kind == "unrepaired" and cert is not None:
+        # the batch's repairs undone: its changed ids back to the certified
+        # membership and colors, as if the event handlers had done nothing
+        ids = (km.chain ^ cert.chain) | {
+            km._vid[k] for k in np.flatnonzero(km._codes != cert.codes)
+        }
+        wrong = {i: (i in cert.chain, km._palette[cert.codes[km._vpos[i]]]) for i in ids}
+    else:
+        iid = rng.choice(km._vid)
+        c = km.colors[iid]
+        member = iid in km.chain
+        if kind == "recolor":
+            c = rng.choice(palette)
+        elif kind == "chain":
+            # flip membership, leaving the color alone or fixing its rule
+            member = not member
+            if rng.random() < 0.5:
+                c = rng.choice(CHAIN_PALETTE) if member else DUMMY
+        else:
+            c = rng.choice(palette)
+        wrong = {iid: (member, c)}
+    right = {i: (i in km.chain, km.colors[i]) for i in wrong}
+
+    def write(state):
+        for i, (member, c) in state.items():
+            (km._chain_add if member else km._chain_drop)(i)
+            if kind == "recolor":
+                km._set(i, c)
+            else:  # a recolor that skips _set: colors and codes written directly
+                km.colors[i] = c
+                km._codes[km._vpos[i]] = km._code_of(c)
+
+    write(wrong)
+    return lambda: write(right)
+
+
+def _step_batch(km):
+    """Step one whole event batch; its last record, or None at the end."""
+    rec = km.step()
+    while (
+        rec is not None
+        and km.cursor < len(km.events)
+        and km.events[km.cursor].time == rec.event.time
+    ):
+        rec = km.step()
+    return rec
+
+
+def _grid_scenario(rng, n):
+    """Rigid intervals on integer endpoints and speeds: crossings share times."""
+    ends = rng.sample(range(4 * n), 2 * n)
+    trajs = []
+    for i in range(n):
+        a, b = sorted(ends[2 * i : 2 * i + 2])
+        v = rng.choice((-1, 0, 0, 1))
+        trajs.append(Trajectory(i, a, v, b, v))
+    return trajs
+
+
+class TestDeltaCertification:
+    def test_delta_full_and_sweep_agree_on_planted_faults(self):
+        rng = random.Random(9)
+        deltas = multi = planted = raised = 0
+        for k in range(24):
+            if k % 3 == 2:
+                km = KineticMaintainer(random_scenario(rng, rng.randint(4, 24)), 0.0, 10.0)
+            else:
+                km = KineticMaintainer(_grid_scenario(rng, rng.randint(8, 30)), 0.0, 6.0)
+            while (rec := _step_batch(km)) is not None:
+                t, cert = rec.t_eval, km._cert
+                undo = None
+                if rng.random() < 0.4:
+                    undo = _plant_fault(km, rng, cert)
+                    planted += 1
+                verdicts = {
+                    "full": _passes(km._check_invariants_fast, t),
+                    "sweep": _passes(km._check_invariants_sweep, t),
+                }
+                if cert is not None and km._delta_applies(cert, t):
+                    deltas += 1
+                    multi += km.cursor - cert.cursor > 1
+                    verdicts["delta"] = _passes(
+                        lambda t: km._check_invariants_delta(t, cert), t
+                    )
+                    # the windowed conflict sweep alone against the full
+                    # oracle, witnesses included
+                    lefts, rights = km._va0 + km._vva * t, km._vb0 + km._vvb * t
+                    full_cf = _cf_over_arrays(lefts, rights, km._codes, km._nondummy)
+                    assert km._conflict_since(cert, lefts, rights) == full_cf.witness
+                assert len(set(verdicts.values())) == 1, (verdicts, km.cursor)
+                raised += not verdicts["full"]
+                if undo is not None:
+                    undo()
+                km.check_invariants(t)  # passes on the mended state and certifies it
+        assert deltas > 2000 and multi > 100 and planted > 1000
+        assert 0.2 * planted < raised < planted  # faults of both outcomes
+
+    def test_only_the_batch_after_a_certificate_takes_the_delta(self):
+        rng = random.Random(9)
+        km = KineticMaintainer(_grid_scenario(rng, 20), 0.0, 6.0)
+        assert km._cert is None
+        rec = _step_batch(km)
+        km.check_invariants(rec.t_eval)
+        cert = km._cert
+        assert cert.cursor == km.cursor and cert.chain == km.chain
+        assert not km._delta_applies(cert, rec.t_eval)  # no new events
+        rec = _step_batch(km)
+        assert km.cursor - cert.cursor == 6  # six crossings at t = 1
+        assert km._delta_applies(cert, rec.t_eval)
+        assert not km._delta_applies(cert, rec.event.time)  # at the crossing itself
+        km.cursor -= 1
+        assert not km._delta_applies(cert, rec.t_eval)  # mid-batch
+        km.cursor += 1
+        _step_batch(km)
+        assert not km._delta_applies(cert, rec.t_eval)  # two batches
 
 
 class TestExactMode:

@@ -2,7 +2,8 @@
 
 A hypothesis state machine feeds the same inserts, deletes and rejected
 ops to the dynamic, epsilon, fixed-universe, grid and baseline engines;
-`greedy-nested` is left out, as it needs a laminar op stream.  Intervals
+`greedy-nested` gets its own machine below, as it needs a laminar,
+insert-only op stream.  Intervals
 are integral with lengths in [1, 8) inside [0, U-1], so every engine
 accepts every insert.  After each step every engine must pass its own
 audit (where it has one) and both oracles, keep its color bound and
@@ -99,3 +100,77 @@ class Lockstep(RuleBasedStateMachine):
 
 Lockstep.TestCase.settings = settings(max_examples=25, stateful_step_count=50, deadline=None)
 TestLockstep = Lockstep.TestCase
+
+
+NESTED_U = 24
+
+
+def _laminar_with(a: int, b: int, ivs) -> bool:
+    """Is [a, b] nested in, around or strictly apart from every interval?"""
+    return all(
+        (iv.left <= a and b <= iv.right)
+        or (a <= iv.left and iv.right <= b)
+        or b < iv.left
+        or iv.right < a
+        for iv in ivs
+    )
+
+
+class NestedLockstep(RuleBasedStateMachine):
+    """Laminar inserts into greedy-nested; partial overlaps are rejected."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.engine = build_engine("greedy-nested")
+        self.next_id = 0
+
+    def _spans(self, laminar: bool) -> list[tuple[int, int]]:
+        ivs = list(self.engine.state.intervals.values())
+        return [
+            (a, b)
+            for a in range(NESTED_U)
+            for b in range(a + 1, NESTED_U)
+            if _laminar_with(a, b, ivs) == laminar
+        ]
+
+    @rule(data=st.data())
+    def insert(self, data) -> None:
+        a, b = data.draw(st.sampled_from(self._spans(laminar=True)))
+        self.engine.insert(Interval(self.next_id, a, b))
+        self.next_id += 1
+
+    @precondition(lambda self: self.next_id)
+    @rule(data=st.data())
+    def rejected(self, data) -> None:
+        # a partial overlap, a duplicate live id, or a delete
+        crossing = self._spans(laminar=False)
+        choices = [st.integers(0, self.next_id - 1).map(lambda i: ("D", i, None))]
+        choices.append(st.integers(0, self.next_id - 1).map(lambda i: ("I", i, (30, 31))))
+        if crossing:
+            choices.append(st.sampled_from(crossing).map(lambda ab: ("I", self.next_id, ab)))
+        kind, iid, span = data.draw(st.one_of(choices))
+        state = self.engine.state
+        records, colors = len(state.ledger.records), dict(state.assignment)
+        with pytest.raises(EngineError):
+            if kind == "I":
+                self.engine.insert(Interval(iid, *span))
+            else:
+                self.engine.delete(iid)
+        assert len(state.ledger.records) == records
+        assert state.assignment == colors
+
+    @invariant()
+    def engine_holds(self) -> None:
+        state = self.engine.state
+        assert sorted(state.intervals) == list(range(self.next_id))
+        self.engine.audit()
+        ivs = list(state.intervals.values())
+        assert is_conflict_free(ivs, state.assignment).ok
+        assert is_conflict_free_fast(ivs, state.assignment).ok
+        assert state.ledger.max_per_update() == 0  # never recolors
+
+
+NestedLockstep.TestCase.settings = settings(
+    max_examples=25, stateful_step_count=50, deadline=None
+)
+TestNestedLockstep = NestedLockstep.TestCase
