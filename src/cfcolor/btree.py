@@ -9,7 +9,8 @@ machinery serves integer universes and endpoint-multiset trees.
 Per slot at most two intervals are extreme: the one with the smallest left
 endpoint and the one with the largest right endpoint (ties: smaller id on
 the left role, larger coverage wins by smaller id on the right role).  The
-engines color extremes and park everything else on the dummy color.
+engines color extremes and park everything else on the dummy color.  Each
+slot's `Bucket` caches its extremes; `slot_extremes` stays the one rule.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .core import Interval, InvariantError
 
 __all__ = [
     "BNode",
+    "Bucket",
     "build_tree",
     "locate",
     "iter_nodes",
@@ -40,13 +42,54 @@ def _ident(key: Key) -> float:
     return key
 
 
+class Bucket:
+    """The intervals of one slot, by id, with their cached extremes.
+
+    `lo`/`hi` are None when unknown.  Otherwise no member ranks before
+    `lo` by (left, id) or before `hi` by (right, -id), so each is the
+    slot's extreme while still a member.  Removals are plain dict
+    operations on `members`; a removed extreme makes `extremes` rescan.
+    Bulk moves in go through one `update` call per receiving bucket.
+    """
+
+    __slots__ = ("members", "lo", "hi")
+
+    def __init__(self) -> None:
+        self.members: dict[int, Interval] = {}
+        self.lo: Interval | None = None
+        self.hi: Interval | None = None
+
+    def add(self, interval: Interval) -> None:
+        self.members[interval.id] = interval
+        lo, hi = self.lo, self.hi
+        if lo is not None:
+            if (interval.left, interval.id) < (lo.left, lo.id):
+                self.lo = interval
+            if (interval.right, -interval.id) > (hi.right, -hi.id):
+                self.hi = interval
+
+    def update(self, members) -> None:
+        """One dict update of many members; the next read rescans."""
+        self.members.update(members)
+        self.lo = self.hi = None
+
+    def extremes(self) -> tuple[Interval, ...]:
+        """slot_extremes of the members, from the cache when it still holds."""
+        lo, hi, members = self.lo, self.hi, self.members
+        if lo is not None and members.get(lo.id) is lo and members.get(hi.id) is hi:
+            return (lo,) if lo is hi else (lo, hi)
+        ext = slot_extremes(members)
+        self.lo, self.hi = (ext[0], ext[-1]) if ext else (None, None)
+        return ext
+
+
 class BNode:
     __slots__ = ("keys", "children", "buckets", "level")
 
     def __init__(self, level: int) -> None:
         self.keys: list[Key] = []
         self.children: list[BNode] = []
-        self.buckets: list[dict[int, Interval]] = []
+        self.buckets: list[Bucket] = []
         self.level = level
 
     @property
@@ -79,7 +122,7 @@ def build_tree(keys: Sequence[Key], t: int) -> tuple[BNode, int]:
         node = BNode(level)
         if level == 0:
             node.keys = list(chunk)
-            node.buckets = [{} for _ in node.keys]
+            node.buckets = [Bucket() for _ in node.keys]
             return node
         cap = max_keys_for_height(level - 1, t)
         m = len(chunk)
@@ -100,7 +143,7 @@ def build_tree(keys: Sequence[Key], t: int) -> tuple[BNode, int]:
             if i < c - 1:
                 node.keys.append(chunk[pos])
                 pos += 1
-        node.buckets = [{} for _ in node.keys]
+        node.buckets = [Bucket() for _ in node.keys]
         return node
 
     return build(list(keys), height, True), height
@@ -133,14 +176,14 @@ def iter_nodes(root: BNode) -> Iterator[BNode]:
 
 
 def node_pool(node: BNode) -> list[Interval]:
-    return [iv for bucket in node.buckets for iv in bucket.values()]
+    return [iv for bucket in node.buckets for iv in bucket.members.values()]
 
 
-def slot_extremes(bucket: dict[int, Interval]) -> tuple[Interval, ...]:
-    """Left and right extreme of one bucket; a single interval may be both."""
-    if not bucket:
+def slot_extremes(members: dict[int, Interval]) -> tuple[Interval, ...]:
+    """Left and right extreme of one slot's intervals; one may be both."""
+    if not members:
         return ()
-    vals = bucket.values()
+    vals = members.values()
     lo = min(vals, key=lambda iv: (iv.left, iv.id))
     hi = max(vals, key=lambda iv: (iv.right, -iv.id))
     return (lo,) if lo.id == hi.id else (lo, hi)
@@ -149,7 +192,8 @@ def slot_extremes(bucket: dict[int, Interval]) -> tuple[Interval, ...]:
 def node_extremes(node: BNode) -> list[Interval]:
     out: list[Interval] = []
     for bucket in node.buckets:
-        out.extend(slot_extremes(bucket))
+        if bucket.members:
+            out.extend(bucket.extremes())
     return out
 
 

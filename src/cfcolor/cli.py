@@ -269,7 +269,6 @@ def cmd_verify(args) -> int:
         else None
     )
     state = ColoringState()
-    seen: set[Color] = set()
     op_open = False
     last_insert: int | None = None
     op_index = 0
@@ -353,9 +352,7 @@ def cmd_verify(args) -> int:
                     )
                 if iid in state.assignment:
                     raise fail(lineno, f"interval {iid} colored twice")
-                color = parse_color(parts, lineno)
-                state.set_color(iid, color)
-                seen.add(color)
+                state.set_color(iid, parse_color(parts, lineno))
             elif tag == "R":
                 if len(parts) < 3:
                     raise fail(lineno, "expected 'R <id> <color>'")
@@ -366,9 +363,7 @@ def cmd_verify(args) -> int:
                     raise fail(lineno, f"recolor of unknown id {iid}")
                 if iid not in state.assignment:
                     raise fail(lineno, f"recolor of never-colored id {iid}")
-                color = parse_color(parts, lineno)
-                state.set_color(iid, color)
-                seen.add(color)
+                state.set_color(iid, parse_color(parts, lineno))
                 recolor_total += 1
                 recolor_cur += 1
             elif tag == "SUMMARY":
@@ -377,7 +372,7 @@ def cmd_verify(args) -> int:
                     _report_conflict(bad.witness, bad.gap)
                     return EXIT_VIOLATION
                 measured = {
-                    "colors": len(seen),
+                    "colors": len(state.colors_seen()),
                     "n": len(state.intervals),
                     "recolor_total": recolor_total,
                     "recolor_max": recolor_max,

@@ -6,8 +6,10 @@ unique highest node holding a key they contain.  Rebalancing (split,
 merge, borrow, separator swap) moves keys between nodes; any interval
 whose anchor that can change is staged out first, the key surgery runs,
 and the staged intervals are re-located from the lowest node whose keys
-changed.  Every node whose bucket content may have changed is rechained:
-its per-slot extreme intervals get a fresh chain coloring from the node's
+changed.  Bulk moves are plain dict operations plus one `Bucket.update`
+per receiving bucket, so only changed buckets rescan their extremes.
+Every node whose bucket content may have changed is rechained: its
+per-slot extreme intervals get a fresh chain coloring from the node's
 2-color level palette, and of the rest only the intervals that may still
 wear a color go dummy: the node's chained set (from `LevelPaletteTree`)
 and the intervals that moved in during the update.  So an update assigns
@@ -24,9 +26,11 @@ done during rebuilds are tallied separately.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import defaultdict
 
 from .btree import (
     BNode,
+    Bucket,
     build_tree,
     iter_nodes,
     locate,
@@ -73,7 +77,7 @@ class DynamicEngine(LevelPaletteTree):
         self._insert_key((interval.left, interval.id, 0), batch)
         self._insert_key((interval.right, interval.id, 1), batch)
         v, slot = locate(self.root, interval, _coord)
-        v.buckets[slot][interval.id] = interval
+        v.buckets[slot].add(interval)
         self._arrive(v, (interval.id,), batch)
         batch.touched.add(v)
         self._rechain(batch)
@@ -82,7 +86,9 @@ class DynamicEngine(LevelPaletteTree):
         interval = self.state.begin_delete(iid)
         # disassociate first so the dying interval never migrates
         home = self._anchor.pop(iid)
-        self._remove_from_node(home, iid)
+        members = home.buckets[locate(home, interval, _coord)[1]].members
+        if members.pop(iid, None) is None:
+            raise InvariantError(f"interval {iid} not bucketed at its anchor")
         self.state.remove(iid)
         if self._maybe_rebuild():
             return
@@ -100,7 +106,7 @@ class DynamicEngine(LevelPaletteTree):
     def _insert_key(self, key: tuple, batch: _Batch) -> None:
         if self.root.is_leaf and not self.root.keys:
             self.root.keys = [key]
-            self.root.buckets = [{}]
+            self.root.buckets = [Bucket()]
             batch.touched.add(self.root)
             return
         if len(self.root.keys) == 2 * self.t - 1:
@@ -113,7 +119,7 @@ class DynamicEngine(LevelPaletteTree):
             pos = bisect_left(v.keys, key)
             if v.is_leaf:
                 v.keys.insert(pos, key)
-                v.buckets.insert(pos, {})
+                v.buckets.insert(pos, Bucket())
                 self._rebucket(v, pos)
                 batch.touched.add(v)
                 return
@@ -142,10 +148,10 @@ class DynamicEngine(LevelPaletteTree):
         right = BNode(child.level)
         right.keys = child.keys[t:]
         right.buckets = child.buckets[t:]
-        up = child.buckets[t - 1]  # these contain the median key itself
+        up = child.buckets[t - 1].members  # these contain the median key itself
         for bucket in child.buckets[: t - 1]:
-            for iid in [iid for iid, iv in bucket.items() if iv.right >= mid]:
-                up[iid] = bucket.pop(iid)
+            for iid in [iid for iid, iv in bucket.members.items() if iv.right >= mid]:
+                up[iid] = bucket.members.pop(iid)
         child.keys = child.keys[: t - 1]
         child.buckets = child.buckets[: t - 1]
         if child.children:
@@ -153,14 +159,14 @@ class DynamicEngine(LevelPaletteTree):
             child.children = child.children[:t]
 
         parent.keys.insert(ci, mid_key)
-        parent.buckets.insert(ci, {})
+        parent.buckets.insert(ci, Bucket())
         parent.children.insert(ci + 1, right)
         self._rebucket(parent, ci)
         # no other key of parent lies inside an interval anchored below it
         parent.buckets[ci].update(up)
         self._arrive(parent, up, batch)
         for bucket in right.buckets:
-            self._arrive(right, bucket, batch)
+            self._arrive(right, bucket.members, batch)
         batch.touched.update((parent, child, right))
 
     # -------------------------------------------------------- key deletion
@@ -177,11 +183,11 @@ class DynamicEngine(LevelPaletteTree):
                     v.keys.pop(pos)
                     # a leaf's intervals hold their own keys there, so the
                     # next key is inside every interval the gone key was
-                    bucket = v.buckets.pop(pos)
-                    if bucket:
+                    gone = v.buckets.pop(pos).members
+                    if gone:
                         if pos == len(v.keys):
-                            raise InvariantError(f"interval {next(iter(bucket))} loses its last key")
-                        v.buckets[pos].update(bucket)
+                            raise InvariantError(f"interval {next(iter(gone))} loses its last key")
+                        v.buckets[pos].update(gone)
                     batch.touched.add(v)
                     return
                 if len(v.children[pos + 1].keys) >= t:
@@ -231,14 +237,14 @@ class DynamicEngine(LevelPaletteTree):
             sib.keys.pop()
             sib.buckets.pop()
             child.keys.insert(0, sep)
-            child.buckets.insert(0, {})
+            child.buckets.insert(0, Bucket())
             if sib.children:
                 child.children.insert(0, sib.children.pop())
         else:
             sib.keys.pop(0)
             sib.buckets.pop(0)
             child.keys.append(sep)
-            child.buckets.append({})
+            child.buckets.append(Bucket())
             if sib.children:
                 child.children.append(sib.children.pop(0))
         parent.keys[si] = up_key
@@ -258,17 +264,17 @@ class DynamicEngine(LevelPaletteTree):
         # sep's intervals that contain parent's next key stay, now in its
         # slot; the others sink into left, which receives sep, at their
         # leftmost key there
-        staged = list(sep_bucket.values())
+        staged = list(sep_bucket.members.values())
         if si < len(parent.keys):
             staged = self._take_missing(sep_bucket, parent.keys[si][0])
-            parent.buckets[si].update(sep_bucket)
+            parent.buckets[si].update(sep_bucket.members)
 
         # no interval anchored at either child contains sep
         left.keys = left.keys + [sep] + right.keys
-        left.buckets = left.buckets + [{}] + right.buckets
+        left.buckets = left.buckets + [Bucket()] + right.buckets
         left.children.extend(right.children)
         for bucket in right.buckets:
-            self._arrive(left, bucket, batch)
+            self._arrive(left, bucket.members, batch)
 
         batch.dropped.add(right)
         batch.touched.discard(right)
@@ -279,8 +285,11 @@ class DynamicEngine(LevelPaletteTree):
         else:
             batch.touched.add(parent)
         batch.touched.add(left)
+        sink = defaultdict(dict)
         for iv in staged:
-            left.buckets[bisect_left(left.keys, (iv.left,))][iv.id] = iv
+            sink[bisect_left(left.keys, (iv.left,))][iv.id] = iv
+        for slot, ivs in sink.items():
+            left.buckets[slot].update(ivs)
         self._arrive(left, [iv.id for iv in staged], batch)
         return left
 
@@ -325,34 +334,26 @@ class DynamicEngine(LevelPaletteTree):
         """
         if pos + 1 < len(node.keys):
             x = node.keys[pos][0]
-            nxt = node.buckets[pos + 1]
-            into = node.buckets[pos]
-            for iid in [iid for iid, iv in nxt.items() if iv.left <= x]:
-                into[iid] = nxt.pop(iid)
+            nxt = node.buckets[pos + 1].members
+            moved = [iid for iid, iv in nxt.items() if iv.left <= x]
+            if moved:
+                node.buckets[pos].update({iid: nxt.pop(iid) for iid in moved})
 
     def _take_containing(self, node: BNode, x: float) -> list[Interval]:
         """Remove from node's buckets the intervals containing x; return them."""
-        out = [iv for iv in node_pool(node) if iv.left <= x <= iv.right]
-        for iv in out:
-            self._remove_from_node(node, iv.id)
-        return out
+        hits = [(bucket.members, iid) for bucket in node.buckets
+                for iid, iv in bucket.members.items() if iv.left <= x <= iv.right]
+        return [members.pop(iid) for members, iid in hits]
 
-    def _take_missing(self, bucket: dict[int, Interval], x: float) -> list[Interval]:
+    def _take_missing(self, bucket: Bucket, x: float) -> list[Interval]:
         """Remove from bucket the intervals not containing x; return them."""
-        missing = [iid for iid, iv in bucket.items() if not iv.left <= x <= iv.right]
-        return [bucket.pop(iid) for iid in missing]
+        missing = [iid for iid, iv in bucket.members.items() if not iv.left <= x <= iv.right]
+        return [bucket.members.pop(iid) for iid in missing]
 
     def _rise(self, node: BNode, slot: int, risen: list[Interval], batch: _Batch) -> None:
         """Bucket at node's slot the intervals taken from below it."""
         node.buckets[slot].update((iv.id, iv) for iv in risen)
         self._arrive(node, [iv.id for iv in risen], batch)
-
-    def _remove_from_node(self, node: BNode, iid: int) -> None:
-        for bucket in node.buckets:
-            if iid in bucket:
-                del bucket[iid]
-                return
-        raise InvariantError(f"interval {iid} not bucketed at its anchor")
 
     def _arrive(self, node: BNode, ids, batch: _Batch) -> None:
         """Anchor ids at node; note those not wearing dummy as arrivals.
@@ -371,12 +372,15 @@ class DynamicEngine(LevelPaletteTree):
         """Bucket staged intervals anew at or below start: start's ancestors
         kept their keys, so none of them holds a key inside one."""
         anchor = self._anchor
+        moved = defaultdict(dict)
         for iv in staged:
             v, slot = locate(start, iv, _coord)
-            v.buckets[slot][iv.id] = iv
+            moved[v.buckets[slot]][iv.id] = iv
             if anchor[iv.id] is not v:
                 self._arrive(v, (iv.id,), batch)
             batch.touched.add(v)
+        for bucket, ivs in moved.items():
+            bucket.update(ivs)
 
     # ------------------------------------------------------------ coloring
 
@@ -420,7 +424,7 @@ class DynamicEngine(LevelPaletteTree):
             av, aslot = locate(self.root, self.state.intervals[iid], _coord)
             if av is not v:
                 raise InvariantError(f"anchor map stale for {iid}")
-            if iid not in v.buckets[aslot]:
+            if iid not in v.buckets[aslot].members:
                 raise InvariantError(f"interval {iid} bucketed off its anchor")
 
 
@@ -456,7 +460,7 @@ class EpsilonEngine(DynamicEngine):
         for iid in sorted(self.state.intervals):
             iv = self.state.intervals[iid]
             v, slot = locate(self.root, iv, _coord)
-            v.buckets[slot][iid] = iv
+            v.buckets[slot].add(iv)
             self._anchor[iid] = v
         for v in iter_nodes(self.root):
             pool = [iv.id for iv in node_pool(v)]

@@ -8,7 +8,8 @@ conflict-freeness at every node then yields global conflict-freeness.  The
 base class holds the palette rule, the color bound, chain-coloring a node's
 extremes, the per-node audit and the chained set: per node, the ids
 anchored there that wear one of its level colors.  Only those ids and the
-node's extremes can need a new color when the node is rechained.
+node's extremes can need a new color when the node is rechained.  All
+engines read extremes from the `btree.Bucket` caches.
 
 Over a fixed integer universe {0, ..., U-1} the B-tree skeleton is built
 once and never changes, so updates only move intervals in and out of
@@ -30,6 +31,7 @@ from .btree import (
     build_tree,
     iter_nodes,
     locate,
+    node_extremes,
     node_pool,
     slot_extremes,
     validate_structure,
@@ -96,15 +98,18 @@ class LevelPaletteTree:
     def audit(self) -> None:
         """Check the framework invariants on every node.
 
-        Per node: only level-palette colors appear, non-extremes are dummy,
-        the node's own intervals are locally conflict-free, and each one
-        wearing a color is in the node's chained set.  Every live interval
-        is bucketed at exactly one node and has an anchor entry.
+        Per node: the cached extremes match a scan, only level-palette
+        colors appear, non-extremes are dummy, the node's own intervals are
+        locally conflict-free, and each one wearing a color is in the
+        node's chained set.  Every live interval is bucketed at exactly one
+        node and has an anchor entry.
         """
         validate_structure(self.root, self.t)
         seen: set[int] = set()
         for v in iter_nodes(self.root):
-            slot_ext = [slot_extremes(bucket) for bucket in v.buckets]
+            slot_ext = [slot_extremes(bucket.members) for bucket in v.buckets]
+            if [bucket.extremes() for bucket in v.buckets] != slot_ext:
+                raise InvariantError(f"extremes cache stale at a level-{v.level} node")
             ext_ids = {iv.id for ext in slot_ext for iv in ext}
             pool = node_pool(v)
             colors = {}
@@ -125,14 +130,10 @@ class LevelPaletteTree:
             for iid, c in colors.items():
                 if not c.is_dummy() and iid not in chained:
                     raise InvariantError(f"interval {iid} wears {c} but is not chained at its node")
-            self._audit_node(v, slot_ext)
         if seen != set(self.state.intervals):
             raise InvariantError("bucketed intervals out of sync with live set")
         if self._anchor.keys() != self.state.intervals.keys():
             raise InvariantError("anchor map out of sync with live set")
-
-    def _audit_node(self, v: BNode, slot_ext: list[tuple[Interval, ...]]) -> None:
-        """Engine-specific checks of node v, given each slot's extremes."""
 
 
 class _FixedBase(LevelPaletteTree):
@@ -143,48 +144,6 @@ class _FixedBase(LevelPaletteTree):
         self.universe = universe
         self.root, _ = build_tree(range(universe), t)
         self._anchor: dict[int, tuple[BNode, int]] = {}
-        # cached (lo, hi) per bucket; safe because the skeleton never changes
-        self._ext: dict[tuple[int, int], tuple[Interval, Interval]] = {}
-
-    def _extremes(self, v: BNode, slot: int) -> tuple[Interval, ...]:
-        """slot_extremes with an O(1) cache."""
-        key = (id(v), slot)
-        cached = self._ext.get(key)
-        if cached is None:
-            ext = slot_extremes(v.buckets[slot])
-            if ext:
-                self._ext[key] = (ext[0], ext[-1])
-            return ext
-        lo, hi = cached
-        return (lo,) if lo.id == hi.id else (lo, hi)
-
-    def _bucket_add(self, v: BNode, slot: int, interval: Interval) -> None:
-        v.buckets[slot][interval.id] = interval
-        key = (id(v), slot)
-        cached = self._ext.get(key)
-        if cached is None:
-            if len(v.buckets[slot]) == 1:
-                self._ext[key] = (interval, interval)
-            return
-        lo, hi = cached
-        if (interval.left, interval.id) < (lo.left, lo.id):
-            lo = interval
-        if (interval.right, -interval.id) > (hi.right, -hi.id):
-            hi = interval
-        self._ext[key] = (lo, hi)
-
-    def _bucket_del(self, v: BNode, slot: int, iid: int) -> None:
-        del v.buckets[slot][iid]
-        key = (id(v), slot)
-        cached = self._ext.get(key)
-        if cached is not None and iid in (cached[0].id, cached[1].id):
-            del self._ext[key]
-
-    def _node_extremes(self, v: BNode) -> list[Interval]:
-        out: list[Interval] = []
-        for slot in range(len(v.keys)):
-            out.extend(self._extremes(v, slot))
-        return out
 
     def _check(self, interval: Interval) -> None:
         for x in (interval.left, interval.right):
@@ -197,14 +156,8 @@ class _FixedBase(LevelPaletteTree):
         """Framework invariants, then each anchor names its interval's bucket."""
         super().audit()
         for iid, (v, slot) in self._anchor.items():
-            if iid not in v.buckets[slot]:
+            if iid not in v.buckets[slot].members:
                 raise InvariantError(f"anchor map stale for {iid}")
-
-    def _audit_node(self, v: BNode, slot_ext: list[tuple[Interval, ...]]) -> None:
-        for slot, ext in enumerate(slot_ext):
-            cached = self._ext.get((id(v), slot))
-            if cached is not None and (not ext or cached != (ext[0], ext[-1])):
-                raise InvariantError(f"extremes cache stale at level {v.level} slot {slot}")
 
 
 class FixedDistinctEngine(_FixedBase):
@@ -213,20 +166,22 @@ class FixedDistinctEngine(_FixedBase):
     def palette_size(self) -> int:
         return 4 * self.t - 2
 
-    def _audit_node(self, v: BNode, slot_ext: list[tuple[Interval, ...]]) -> None:
-        super()._audit_node(v, slot_ext)
-        used = []
-        for iid in {iv.id for ext in slot_ext for iv in ext}:
-            c = self.state.color_of(iid)
-            if c.is_dummy():
-                raise InvariantError(f"extreme {iid} wears the dummy color")
-            used.append(c)
-        if len(set(used)) != len(used):
-            raise InvariantError("extremes at one node share a color")
+    def audit(self) -> None:
+        """Base invariants, then each node's extremes wear distinct real colors."""
+        super().audit()
+        for v in iter_nodes(self.root):
+            used = []
+            for iv in node_extremes(v):
+                c = self.state.color_of(iv.id)
+                if c.is_dummy():
+                    raise InvariantError(f"extreme {iv.id} wears the dummy color")
+                used.append(c)
+            if len(set(used)) != len(used):
+                raise InvariantError("extremes at one node share a color")
 
     def _free_color(self, v: BNode) -> Color:
         used = set()
-        for iv in self._node_extremes(v):
+        for iv in node_extremes(v):
             c = self.state.color_of(iv.id)
             if c is not None:
                 used.add(c)
@@ -240,10 +195,11 @@ class FixedDistinctEngine(_FixedBase):
         self._check(interval)
         self.state.begin_insert(interval)
         v, slot = locate(self.root, interval)
-        old = self._extremes(v, slot)
-        self._bucket_add(v, slot, interval)
+        bucket = v.buckets[slot]
+        old = bucket.extremes()
+        bucket.add(interval)
         self._anchor[interval.id] = (v, slot)
-        new = self._extremes(v, slot)
+        new = bucket.extremes()
         new_ids = {iv.id for iv in new}
         chained = self._chained.setdefault(v, set())
         for demoted in old:
@@ -259,12 +215,13 @@ class FixedDistinctEngine(_FixedBase):
     def delete(self, iid: int) -> None:
         self.state.begin_delete(iid)
         v, slot = self._anchor.pop(iid)
-        old_ids = {iv.id for iv in self._extremes(v, slot)}
-        self._bucket_del(v, slot, iid)
+        bucket = v.buckets[slot]
+        old_ids = {iv.id for iv in bucket.extremes()}
+        del bucket.members[iid]
         self.state.remove(iid)
         chained = self._chained[v]
         chained.discard(iid)
-        for promoted in self._extremes(v, slot):
+        for promoted in bucket.extremes():
             if promoted.id not in old_ids:
                 self.state.set_color(promoted.id, self._free_color(v))
                 chained.add(promoted.id)
@@ -274,7 +231,7 @@ class FixedChainEngine(_FixedBase):
     """Each update rechains the extremes of the touched node with 2 colors."""
 
     def _rechain(self, v: BNode) -> None:
-        extremes = self._node_extremes(v)
+        extremes = node_extremes(v)
         # only chained intervals can need a demotion to dummy; they go first
         prev = self._chained.get(v, set())
         for iid in sorted(prev - {iv.id for iv in extremes}):
@@ -285,16 +242,17 @@ class FixedChainEngine(_FixedBase):
         self._check(interval)
         self.state.begin_insert(interval)
         v, slot = locate(self.root, interval)
-        self._bucket_add(v, slot, interval)
+        bucket = v.buckets[slot]
+        bucket.add(interval)
         self._anchor[interval.id] = (v, slot)
-        if interval.id not in {iv.id for iv in self._extremes(v, slot)}:
+        if interval.id not in {iv.id for iv in bucket.extremes()}:
             self.state.set_color(interval.id, DUMMY)
         self._rechain(v)
 
     def delete(self, iid: int) -> None:
         self.state.begin_delete(iid)
         v, slot = self._anchor.pop(iid)
-        self._bucket_del(v, slot, iid)
+        del v.buckets[slot].members[iid]
         self.state.remove(iid)
         self._chained.get(v, set()).discard(iid)
         self._rechain(v)

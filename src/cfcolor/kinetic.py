@@ -473,15 +473,14 @@ class KineticMaintainer:
         raise InvariantError(f"unknown event kind {ev.kind}")
 
     def _containment_roles(self, i, j, t_before, t_after):
-        for x, y in ((i, j), (j, i)):
-            ivb, jvb = self.trajs[x].at(t_before), self.trajs[y].at(t_before)
-            iva, jva = self.trajs[x].at(t_after), self.trajs[y].at(t_after)
-            before = jvb.contains_interval(ivb)
-            after = jva.contains_interval(iva)
+        ti, tj = self.trajs[i], self.trajs[j]
+        for x, y in ((ti, tj), (tj, ti)):
+            before = y.left(t_before) <= x.left(t_before) and x.right(t_before) <= y.right(t_before)
+            after = y.left(t_after) <= x.left(t_after) and x.right(t_after) <= y.right(t_after)
             if before and not after:
-                return "escape", x, y
+                return "escape", x.id, y.id
             if after and not before:
-                return "capture", x, y
+                return "capture", x.id, y.id
         return None, None, None
 
     def _endpoint_swap(self, ev, side, t_before, t_after):

@@ -108,17 +108,19 @@ def covered_dummy(eng):
                 if w is v:
                     continue
                 for bucket in w.buckets:
-                    if any(e.left < iv.left and iv.right < e.right for e in bucket.values()):
-                        return iv, bucket
+                    members = bucket.members
+                    if any(e.left < iv.left and iv.right < e.right for e in members.values()):
+                        return iv, members
     raise AssertionError("no dummy interval covered at another node")
 
 
 def test_interval_bucketed_at_a_second_node(name):
     eng = populated(name)
-    # the copy stays a dummy non-extreme and breaks no local
-    # conflict-freeness, so only the one-bucket rule can object
-    iv, bucket = covered_dummy(eng)
-    bucket[iv.id] = iv
+    # the copy stays a dummy non-extreme and breaks neither local
+    # conflict-freeness nor the bucket's cached extremes, so only the
+    # one-bucket rule can object
+    iv, members = covered_dummy(eng)
+    members[iv.id] = iv
     with pytest.raises(InvariantError, match="bucketed twice"):
         eng.audit()
 
@@ -171,19 +173,19 @@ def test_anchor_of_a_deleted_id(name):
         eng.audit()
 
 
-@pytest.mark.parametrize("name", FIXED)
 def test_stale_extremes_cache(name):
     eng = populated(name)
     for v in iter_nodes(eng.root):
-        for slot, bucket in enumerate(v.buckets):
-            cached = eng._ext.get((id(v), slot))
-            others = [iv for iv in bucket.values() if iv not in cached] if cached else []
+        for bucket in v.buckets:
+            ext = bucket.extremes()
+            others = [iv for iv in bucket.members.values() if iv not in ext]
             if others:
-                eng._ext[(id(v), slot)] = (others[0], cached[1])
+                # a member, so only the cache-versus-scan check can object
+                bucket.lo = others[0]
                 with pytest.raises(InvariantError, match="extremes cache"):
                     eng.audit()
                 return
-    raise AssertionError("no cached bucket with a non-extreme")
+    raise AssertionError("no bucket with a non-extreme")
 
 
 def test_colored_interval_missing_from_chained_set(name):

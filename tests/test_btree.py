@@ -1,4 +1,4 @@
-"""Bulk-built B-tree skeleton: shape, ordering, anchoring."""
+"""Bulk-built B-tree skeleton: shape, ordering, anchoring, bucket extremes."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cfcolor import Interval
 from cfcolor.btree import (
+    Bucket,
     build_tree,
     iter_nodes,
     locate,
@@ -146,7 +147,82 @@ class TestExtremes:
     def test_node_extremes_concatenate_slots(self):
         root, _ = build_tree(range(3), 2)
         assert root.is_leaf and len(root.buckets) == 3
-        root.buckets[0][1] = Interval(1, 0, 1)
-        root.buckets[2][2] = Interval(2, 2, 2.5)
+        root.buckets[0].add(Interval(1, 0, 1))
+        root.buckets[2].add(Interval(2, 2, 2.5))
         ids = [iv.id for iv in node_extremes(root)]
         assert ids == [1, 2]
+
+
+# small coordinates, so that lefts and rights tie often
+_spans = st.tuples(st.integers(0, 4), st.integers(1, 4)).map(lambda p: (p[0], p[0] + p[1]))
+_moves = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, 1), _spans),
+    st.tuples(st.just("remove"), st.integers(0, 1), st.integers(0, 30)),
+    st.tuples(st.just("bulk_add"), st.integers(0, 1), st.lists(_spans, max_size=5)),
+    st.tuples(st.just("take"), st.integers(0, 1), st.integers(0, 8)),
+    st.tuples(st.just("move"), st.integers(0, 1), st.integers(0, 8)),
+)
+# a step of several moves leaves the cache unread in between, so adds
+# meet cached extremes that have already left
+_steps = st.lists(st.lists(_moves, min_size=1, max_size=3), max_size=25)
+
+
+class TestBucket:
+    """The cached extremes of a Bucket against the slot_extremes scan."""
+
+    def test_add_keeps_tie_rules(self):
+        b = Bucket()
+        b.add(Interval(5, 0, 4))
+        assert [iv.id for iv in b.extremes()] == [5]  # now cached
+        for iv in (Interval(3, 0, 4), Interval(4, 1, 4)):
+            b.add(iv)
+        assert (b.lo.id, b.hi.id) == (3, 3)
+        assert [iv.id for iv in b.extremes()] == [3]
+        assert b.extremes() == slot_extremes(b.members)
+
+    def test_removed_extreme_is_rescanned(self):
+        b = Bucket()
+        b.add(Interval(1, 0, 3))
+        b.add(Interval(2, 1, 5))
+        b.add(Interval(3, 2, 4))
+        del b.members[1]
+        assert [iv.id for iv in b.extremes()] == [2]
+
+    def test_reused_id_is_not_mistaken_for_the_cached_extreme(self):
+        b = Bucket()
+        b.add(Interval(1, 0, 3))
+        b.add(Interval(2, 1, 5))
+        assert [iv.id for iv in b.extremes()] == [1, 2]
+        b.members[1] = Interval(1, 2, 3)
+        assert b.extremes() == slot_extremes(b.members)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_steps)
+    def test_cache_matches_scan_after_every_step(self, steps):
+        """Single adds, plain dict removals, and bulk moves in through one
+        update call per receiving bucket."""
+        buckets = [Bucket(), Bucket()]
+        next_id = 0
+
+        def fresh(span):
+            nonlocal next_id
+            next_id += 1
+            return Interval(next_id, *span)
+
+        for step in steps:
+            for kind, k, arg in step:
+                b, other = buckets[k], buckets[1 - k]
+                if kind == "add":
+                    b.add(fresh(arg))
+                elif kind == "remove" and b.members:
+                    del b.members[sorted(b.members)[arg % len(b.members)]]
+                elif kind == "bulk_add":
+                    b.update((iv.id, iv) for iv in map(fresh, arg))
+                elif kind == "take":
+                    for iid in [iid for iid, iv in b.members.items() if iv.contains(arg)]:
+                        b.members.pop(iid)
+                elif kind == "move":
+                    moved = [iid for iid, iv in b.members.items() if iv.right >= arg]
+                    other.update({iid: b.members.pop(iid) for iid in moved})
+            for bucket in buckets:
+                assert bucket.extremes() == slot_extremes(bucket.members)
