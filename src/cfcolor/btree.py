@@ -11,11 +11,14 @@ endpoint and the one with the largest right endpoint (ties: smaller id on
 the left role, larger coverage wins by smaller id on the right role).  The
 engines color extremes and park everything else on the dummy color.  Each
 slot's `Bucket` caches its extremes; `slot_extremes` stays the one rule.
+A bucket also names its owner node, so engines anchor an id at its bucket
+and a rebalance can move a whole bucket, cache and all, by re-pointing it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import attrgetter
 from typing import Any, Callable, Iterator, Sequence
 
 from .core import Interval, InvariantError
@@ -38,26 +41,31 @@ Key = Any
 CoordFn = Callable[[Key], float]
 
 
+_left, _right, _id = attrgetter("left"), attrgetter("right"), attrgetter("id")
+
+
 def _ident(key: Key) -> float:
     return key
 
 
 class Bucket:
-    """The intervals of one slot, by id, with their cached extremes.
+    """The intervals of one slot, by id, with their cached extremes and owner.
 
-    `lo`/`hi` are None when unknown.  Otherwise no member ranks before
-    `lo` by (left, id) or before `hi` by (right, -id), so each is the
-    slot's extreme while still a member.  Removals are plain dict
-    operations on `members`; a removed extreme makes `extremes` rescan.
-    Bulk moves in go through one `update` call per receiving bucket.
+    `node` is the node whose `buckets` list holds this bucket.  `lo`/`hi`
+    are None when unknown.  Otherwise no member ranks before `lo` by
+    (left, id) or before `hi` by (right, -id), so each is the slot's
+    extreme while still a member.  Removals are plain dict operations on
+    `members`; a removed extreme makes `extremes` rescan.  Bulk moves in go
+    through one `update` call per receiving bucket.
     """
 
-    __slots__ = ("members", "lo", "hi")
+    __slots__ = ("members", "lo", "hi", "node")
 
-    def __init__(self) -> None:
+    def __init__(self, node: BNode | None = None) -> None:
         self.members: dict[int, Interval] = {}
         self.lo: Interval | None = None
         self.hi: Interval | None = None
+        self.node = node
 
     def add(self, interval: Interval) -> None:
         self.members[interval.id] = interval
@@ -68,10 +76,23 @@ class Bucket:
             if (interval.right, -interval.id) > (hi.right, -hi.id):
                 self.hi = interval
 
-    def update(self, members) -> None:
-        """One dict update of many members; the next read rescans."""
-        self.members.update(members)
-        self.lo = self.hi = None
+    def update(self, moved: dict[int, Interval]) -> None:
+        """One dict update of many new members.
+
+        A cache that still holds folds in the extremes of `moved`, one
+        min/max over the moved members; a stale one becomes unknown.
+        """
+        lo, hi, members = self.lo, self.hi, self.members
+        if lo is not None and not (members.get(lo.id) is lo and members.get(hi.id) is hi):
+            self.lo = self.hi = lo = None
+        members.update(moved)
+        if lo is not None and moved:
+            ext = slot_extremes(moved)
+            a, b = ext[0], ext[-1]
+            if (a.left, a.id) < (lo.left, lo.id):
+                self.lo = a
+            if (b.right, -b.id) > (hi.right, -hi.id):
+                self.hi = b
 
     def extremes(self) -> tuple[Interval, ...]:
         """slot_extremes of the members, from the cache when it still holds."""
@@ -122,7 +143,7 @@ def build_tree(keys: Sequence[Key], t: int) -> tuple[BNode, int]:
         node = BNode(level)
         if level == 0:
             node.keys = list(chunk)
-            node.buckets = [Bucket() for _ in node.keys]
+            node.buckets = [Bucket(node) for _ in node.keys]
             return node
         cap = max_keys_for_height(level - 1, t)
         m = len(chunk)
@@ -143,7 +164,7 @@ def build_tree(keys: Sequence[Key], t: int) -> tuple[BNode, int]:
             if i < c - 1:
                 node.keys.append(chunk[pos])
                 pos += 1
-        node.buckets = [Bucket() for _ in node.keys]
+        node.buckets = [Bucket(node) for _ in node.keys]
         return node
 
     return build(list(keys), height, True), height
@@ -180,13 +201,26 @@ def node_pool(node: BNode) -> list[Interval]:
 
 
 def slot_extremes(members: dict[int, Interval]) -> tuple[Interval, ...]:
-    """Left and right extreme of one slot's intervals; one may be both."""
-    if not members:
-        return ()
-    vals = members.values()
-    lo = min(vals, key=lambda iv: (iv.left, iv.id))
-    hi = max(vals, key=lambda iv: (iv.right, -iv.id))
-    return (lo,) if lo.id == hi.id else (lo, hi)
+    """Left and right extreme of one slot's intervals; one may be both.
+
+    The left extreme is the least by (left, id), the right one the greatest
+    by (right, -id).  Each is found by passes in C over the endpoint list;
+    only a tied endpoint needs a pass in Python.
+    """
+    if len(members) < 2:
+        return tuple(members.values())
+    vals = list(members.values())
+    lo = _smallest_id_at(vals, list(map(_left, vals)), min)
+    hi = _smallest_id_at(vals, list(map(_right, vals)), max)
+    return (lo,) if lo is hi else (lo, hi)
+
+
+def _smallest_id_at(vals: list[Interval], ends: list[float], pick) -> Interval:
+    """Of the intervals whose endpoint in `ends` is pick(ends), the smallest id."""
+    x = pick(ends)
+    if ends.count(x) == 1:
+        return vals[ends.index(x)]
+    return min((iv for iv, e in zip(vals, ends) if e == x), key=_id)
 
 
 def node_extremes(node: BNode) -> list[Interval]:

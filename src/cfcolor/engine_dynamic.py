@@ -2,17 +2,25 @@
 
 Keys are (coordinate, interval id, side) triples, so every interval owns
 two unique keys and key comparisons never tie.  Intervals hang off the
-unique highest node holding a key they contain.  Rebalancing (split,
-merge, borrow, separator swap) moves keys between nodes; any interval
-whose anchor that can change is staged out first, the key surgery runs,
-and the staged intervals are re-located from the lowest node whose keys
-changed.  Bulk moves are plain dict operations plus one `Bucket.update`
-per receiving bucket, so only changed buckets rescan their extremes.
+unique highest node holding a key they contain, and each id is anchored at
+its `Bucket`, which names its owner node.  Rebalancing (split, merge,
+borrow, separator swap) moves keys between nodes, and buckets move with
+their keys: a split re-points the median's bucket and those right of it,
+a merge the right child's buckets and the larger part of the separator's.
+That costs O(buckets) and keeps their extremes caches.  The other
+intervals whose anchor can change are taken out of their buckets, the key
+surgery runs, and each lands at the slot the surgery leaves it: a split,
+merge or borrow knows it from a comparison with the moved keys, a
+separator swap locates it from the node whose key changed.  Such moves
+are plain dict operations, one `Bucket.update` per receiving bucket that
+folds the moved extremes into its cache, and one bulk anchor write.
 Every node whose bucket content may have changed is rechained: its
 per-slot extreme intervals get a fresh chain coloring from the node's
 2-color level palette, and of the rest only the intervals that may still
 wear a color go dummy: the node's chained set (from `LevelPaletteTree`)
-and the intervals that moved in during the update.  So an update assigns
+and the intervals that moved in during the update.  The movers of a whole
+bucket that may wear a color are among the old node's chained ids and
+arrivals, so no moved bucket is scanned for them.  So an update assigns
 colors to a node's extremes and the intervals that moved, never to its
 whole pool.  The palette rule, the chain coloring, the chained sets and
 the per-node audit come from `LevelPaletteTree` in `engine_fixed`, shared
@@ -25,8 +33,10 @@ done during rebuilds are tallied separately.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from collections import defaultdict
+from itertools import chain
 
 from .btree import (
     BNode,
@@ -47,9 +57,31 @@ def _coord(key: tuple[float, int, int]) -> float:
     return key[0]
 
 
+# the anchor of an id that is no longer live: owned by no node
+_NOWHERE = Bucket()
+
+
+def _land(staged, parent: BNode, slot: int, child: BNode):
+    """Where intervals land that contain a key of child but none of parent
+    before parent.keys[slot]: those that contain that key stay at parent,
+    the others go to child at their leftmost key there.
+
+    Returns the staying ones by id, and the others by child slot and id.
+    """
+    nxt = parent.keys[slot][0] if slot < len(parent.keys) else math.inf
+    coords = [k[0] for k in child.keys]
+    stay, sink = {}, defaultdict(dict)
+    for iv in staged:
+        if iv.right >= nxt:
+            stay[iv.id] = iv
+        else:
+            sink[bisect_left(coords, iv.left)][iv.id] = iv
+    return stay, sink
+
+
 class _Batch:
     """Bookkeeping for one public update: nodes to rechain, nodes dropped,
-    and per node the ids that moved there not wearing dummy."""
+    and per node the ids that moved there and may wear a color."""
 
     __slots__ = ("touched", "dropped", "arrived")
 
@@ -65,7 +97,6 @@ class DynamicEngine(LevelPaletteTree):
     def __init__(self, t: int = 2) -> None:
         super().__init__(t)
         self.root = BNode(0)
-        self._anchor: dict[int, BNode] = {}
 
     # ------------------------------------------------------------- public
 
@@ -77,7 +108,9 @@ class DynamicEngine(LevelPaletteTree):
         self._insert_key((interval.left, interval.id, 0), batch)
         self._insert_key((interval.right, interval.id, 1), batch)
         v, slot = locate(self.root, interval, _coord)
-        v.buckets[slot].add(interval)
+        bucket = v.buckets[slot]
+        bucket.add(interval)
+        self._anchor[interval.id] = bucket
         self._arrive(v, (interval.id,), batch)
         batch.touched.add(v)
         self._rechain(batch)
@@ -85,10 +118,10 @@ class DynamicEngine(LevelPaletteTree):
     def delete(self, iid: int) -> None:
         interval = self.state.begin_delete(iid)
         # disassociate first so the dying interval never migrates
-        home = self._anchor.pop(iid)
-        members = home.buckets[locate(home, interval, _coord)[1]].members
-        if members.pop(iid, None) is None:
+        bucket = self._anchor.pop(iid)
+        if bucket.members.pop(iid, None) is None:
             raise InvariantError(f"interval {iid} not bucketed at its anchor")
+        home = bucket.node
         self.state.remove(iid)
         if self._maybe_rebuild():
             return
@@ -106,7 +139,7 @@ class DynamicEngine(LevelPaletteTree):
     def _insert_key(self, key: tuple, batch: _Batch) -> None:
         if self.root.is_leaf and not self.root.keys:
             self.root.keys = [key]
-            self.root.buckets = [Bucket()]
+            self.root.buckets = [Bucket(self.root)]
             batch.touched.add(self.root)
             return
         if len(self.root.keys) == 2 * self.t - 1:
@@ -119,7 +152,7 @@ class DynamicEngine(LevelPaletteTree):
             pos = bisect_left(v.keys, key)
             if v.is_leaf:
                 v.keys.insert(pos, key)
-                v.buckets.insert(pos, Bucket())
+                v.buckets.insert(pos, Bucket(v))
                 self._rebucket(v, pos)
                 batch.touched.add(v)
                 return
@@ -134,9 +167,10 @@ class DynamicEngine(LevelPaletteTree):
     def _split_child(self, parent: BNode, ci: int, batch: _Batch) -> None:
         """Move the median key of a full child up into parent.
 
-        The child's intervals that contain the median move up with it, and
-        its buckets right of the median go to the new right sibling; every
-        other interval keeps its slot.
+        The median's bucket moves up with it whole, and the child's other
+        intervals that contain the median join it there; the buckets right
+        of the median move whole to the new right sibling.  Every other
+        interval keeps its slot.
         """
         t = self.t
         child = parent.children[ci]
@@ -148,10 +182,15 @@ class DynamicEngine(LevelPaletteTree):
         right = BNode(child.level)
         right.keys = child.keys[t:]
         right.buckets = child.buckets[t:]
-        up = child.buckets[t - 1].members  # these contain the median key itself
+        for bucket in right.buckets:
+            bucket.node = right
+        median = child.buckets[t - 1]  # these contain the median key itself
+        median.node = parent
+        up = {}
         for bucket in child.buckets[: t - 1]:
-            for iid in [iid for iid, iv in bucket.members.items() if iv.right >= mid]:
-                up[iid] = bucket.members.pop(iid)
+            members = bucket.members
+            for iid in [iid for iid, iv in members.items() if iv.right >= mid]:
+                up[iid] = members.pop(iid)
         child.keys = child.keys[: t - 1]
         child.buckets = child.buckets[: t - 1]
         if child.children:
@@ -159,14 +198,12 @@ class DynamicEngine(LevelPaletteTree):
             child.children = child.children[:t]
 
         parent.keys.insert(ci, mid_key)
-        parent.buckets.insert(ci, Bucket())
+        parent.buckets.insert(ci, median)
         parent.children.insert(ci + 1, right)
         self._rebucket(parent, ci)
         # no other key of parent lies inside an interval anchored below it
-        parent.buckets[ci].update(up)
-        self._arrive(parent, up, batch)
-        for bucket in right.buckets:
-            self._arrive(right, bucket.members, batch)
+        self._move(median, up)
+        self._disperse(child, batch)
         batch.touched.update((parent, child, right))
 
     # -------------------------------------------------------- key deletion
@@ -183,11 +220,12 @@ class DynamicEngine(LevelPaletteTree):
                     v.keys.pop(pos)
                     # a leaf's intervals hold their own keys there, so the
                     # next key is inside every interval the gone key was
-                    gone = v.buckets.pop(pos).members
-                    if gone:
+                    gone = v.buckets.pop(pos)
+                    if gone.members:
                         if pos == len(v.keys):
-                            raise InvariantError(f"interval {next(iter(gone))} loses its last key")
-                        v.buckets[pos].update(gone)
+                            raise InvariantError(
+                                f"interval {next(iter(gone.members))} loses its last key")
+                        self._absorb(v, pos, gone)
                     batch.touched.add(v)
                     return
                 if len(v.children[pos + 1].keys) >= t:
@@ -237,20 +275,26 @@ class DynamicEngine(LevelPaletteTree):
             sib.keys.pop()
             sib.buckets.pop()
             child.keys.insert(0, sep)
-            child.buckets.insert(0, Bucket())
+            child.buckets.insert(0, Bucket(child))
             if sib.children:
                 child.children.insert(0, sib.children.pop())
         else:
             sib.keys.pop(0)
             sib.buckets.pop(0)
             child.keys.append(sep)
-            child.buckets.append(Bucket())
+            child.buckets.append(Bucket(child))
             if sib.children:
                 child.children.append(sib.children.pop(0))
         parent.keys[si] = up_key
         self._rebucket(parent, si)
         self._rise(parent, si, risen, batch)
-        self._relocate(staged, parent, batch)
+        # the staged intervals contain sep and miss up_key
+        stay, sink = _land(staged, parent, si + 1, child)
+        if stay:
+            self._move(parent.buckets[si + 1], stay)
+        for slot, ivs in sink.items():
+            self._arrive(child, ivs, batch)
+            self._move(child.buckets[slot], ivs)
         batch.touched.update((parent, sib, child))
 
     def _merge_children(self, parent: BNode, si: int, batch: _Batch) -> BNode:
@@ -262,19 +306,32 @@ class DynamicEngine(LevelPaletteTree):
         sep_bucket = parent.buckets.pop(si)
         parent.children.pop(si + 1)
         # sep's intervals that contain parent's next key stay, now in its
-        # slot; the others sink into left, which receives sep, at their
-        # leftmost key there
-        staged = list(sep_bucket.members.values())
-        if si < len(parent.keys):
-            staged = self._take_missing(sep_bucket, parent.keys[si][0])
-            parent.buckets[si].update(sep_bucket.members)
+        # slot; the others sink into left, which receives sep
+        left.keys.append(sep)
+        stay, sink = _land(sep_bucket.members.values(), parent, si, left)
+        down = sink.pop(len(left.keys) - 1, {})
+        # the larger of the staying part and the part that sinks to sep's
+        # slot keeps the bucket
+        if len(down) > len(stay):
+            sep_bucket.members, sep_bucket.node, mid = down, left, sep_bucket
+            if stay:
+                self._move(parent.buckets[si], stay)
+        else:
+            sep_bucket.members, mid = stay, Bucket(left)
+            if stay:
+                self._absorb(parent, si, sep_bucket)
+            self._move(mid, down)
+        left.buckets.append(mid)
+        for slot, ivs in sink.items():
+            self._move(left.buckets[slot], ivs)
 
-        # no interval anchored at either child contains sep
-        left.keys = left.keys + [sep] + right.keys
-        left.buckets = left.buckets + [Bucket()] + right.buckets
-        left.children.extend(right.children)
+        # no interval anchored at either child contains sep; right's
+        # buckets move whole
         for bucket in right.buckets:
-            self._arrive(left, bucket.members, batch)
+            bucket.node = left
+        left.keys += right.keys
+        left.buckets += right.buckets
+        left.children += right.children
 
         batch.dropped.add(right)
         batch.touched.discard(right)
@@ -285,12 +342,8 @@ class DynamicEngine(LevelPaletteTree):
         else:
             batch.touched.add(parent)
         batch.touched.add(left)
-        sink = defaultdict(dict)
-        for iv in staged:
-            sink[bisect_left(left.keys, (iv.left,))][iv.id] = iv
-        for slot, ivs in sink.items():
-            left.buckets[slot].update(ivs)
-        self._arrive(left, [iv.id for iv in staged], batch)
+        self._disperse(right, batch)
+        self._disperse(parent, batch)
         return left
 
     def _swap_separator(self, v: BNode, pos: int, successor: bool, batch: _Batch) -> None:
@@ -325,9 +378,23 @@ class DynamicEngine(LevelPaletteTree):
 
     # ----------------------------------------------------- bucket plumbing
 
+    def _move(self, bucket: Bucket, moved: dict[int, Interval]) -> None:
+        """Bucket moved intervals in one update and anchor them there."""
+        bucket.update(moved)
+        self._anchor.update(dict.fromkeys(moved, bucket))
+
+    def _absorb(self, node: BNode, slot: int, other: Bucket) -> None:
+        """Merge bucket `other`, already out of node's list, into the one at
+        slot: the smaller moves into the larger, which takes the slot."""
+        into = node.buckets[slot]
+        if len(other.members) > len(into.members):
+            into, other = other, into
+            node.buckets[slot] = into
+        self._move(into, other.members)
+
     def _rebucket(self, node: BNode, pos: int) -> None:
-        """keys[pos] is new at node and its bucket empty: move into it the
-        intervals of the next bucket that contain it.
+        """keys[pos] is new at node: move into its bucket the intervals of
+        the next bucket that contain it.
 
         Those have it as their leftmost contained key now; the intervals of
         every other bucket keep theirs.
@@ -337,7 +404,7 @@ class DynamicEngine(LevelPaletteTree):
             nxt = node.buckets[pos + 1].members
             moved = [iid for iid, iv in nxt.items() if iv.left <= x]
             if moved:
-                node.buckets[pos].update({iid: nxt.pop(iid) for iid in moved})
+                self._move(node.buckets[pos], {iid: nxt.pop(iid) for iid in moved})
 
     def _take_containing(self, node: BNode, x: float) -> list[Interval]:
         """Remove from node's buckets the intervals containing x; return them."""
@@ -352,35 +419,45 @@ class DynamicEngine(LevelPaletteTree):
 
     def _rise(self, node: BNode, slot: int, risen: list[Interval], batch: _Batch) -> None:
         """Bucket at node's slot the intervals taken from below it."""
-        node.buckets[slot].update((iv.id, iv) for iv in risen)
+        self._move(node.buckets[slot], {iv.id: iv for iv in risen})
         self._arrive(node, [iv.id for iv in risen], batch)
 
     def _arrive(self, node: BNode, ids, batch: _Batch) -> None:
-        """Anchor ids at node; note those not wearing dummy as arrivals.
+        """Note the ids not wearing dummy as arrivals at node.
 
         Colors change only when the update rechains, after all moves.
         """
-        anchor = self._anchor
         color_of = self.state.assignment.get
         arrived = batch.arrived.setdefault(node, [])
-        for iid in ids:
-            anchor[iid] = node
-            if color_of(iid) is not DUMMY:
-                arrived.append(iid)
+        arrived.extend(iid for iid in ids if color_of(iid) is not DUMMY)
+
+    def _disperse(self, old: BNode, batch: _Batch) -> None:
+        """Note as arrivals at their new owner the ids that may wear a color
+        and whose bucket has left old.
+
+        Every id anchored at old that may wear a color is in old's chained
+        set or among its arrivals, so no moved bucket needs a scan.
+        """
+        anchor = self._anchor
+        arrived = batch.arrived
+        for iid in chain(self._chained.get(old, ()), arrived.get(old, ())):
+            v = anchor.get(iid, _NOWHERE).node
+            if v is not old and v is not None:
+                arrived.setdefault(v, []).append(iid)
 
     def _relocate(self, staged: list[Interval], start: BNode, batch: _Batch) -> None:
         """Bucket staged intervals anew at or below start: start's ancestors
         kept their keys, so none of them holds a key inside one."""
-        anchor = self._anchor
         moved = defaultdict(dict)
         for iv in staged:
             v, slot = locate(start, iv, _coord)
             moved[v.buckets[slot]][iv.id] = iv
-            if anchor[iv.id] is not v:
-                self._arrive(v, (iv.id,), batch)
-            batch.touched.add(v)
         for bucket, ivs in moved.items():
-            bucket.update(ivs)
+            v = bucket.node
+            if v is not start:
+                self._arrive(v, ivs, batch)
+            self._move(bucket, ivs)
+            batch.touched.add(v)
 
     # ------------------------------------------------------------ coloring
 
@@ -396,8 +473,8 @@ class DynamicEngine(LevelPaletteTree):
         can wear a color go dummy: its chained ids and the arrivals (a new
         insert has no color yet) that are still anchored at v."""
         anchor = self._anchor
-        ids = [iid for iid in self._chained.get(v, ()) if anchor.get(iid) is v]
-        ids += [iid for iid in arrived if anchor.get(iid) is v]
+        ids = [iid for iid in chain(self._chained.get(v, ()), arrived)
+               if anchor.get(iid, _NOWHERE).node is v]
         self._chain_extremes(v, node_extremes(v), ids)
 
     # ------------------------------------------------------------- checks
@@ -417,14 +494,11 @@ class DynamicEngine(LevelPaletteTree):
             raise InvariantError("tree keys out of sync with live endpoints")
         if n >= 1 and self.height >= 1 and self.t**self.height > n:
             raise InvariantError(f"height {self.height} too large for {n} intervals")
-        # the base audit found each live interval anchored and in exactly
-        # one bucket; it must be the bucket that locate() picks, at the
-        # anchored node
-        for iid, v in self._anchor.items():
-            av, aslot = locate(self.root, self.state.intervals[iid], _coord)
-            if av is not v:
-                raise InvariantError(f"anchor map stale for {iid}")
-            if iid not in v.buckets[aslot].members:
+        # the base audit found each live interval anchored at the one
+        # bucket holding it; it must be the bucket that locate() picks
+        for iid, bucket in self._anchor.items():
+            v, slot = locate(self.root, self.state.intervals[iid], _coord)
+            if v.buckets[slot] is not bucket:
                 raise InvariantError(f"interval {iid} bucketed off its anchor")
 
 
@@ -460,8 +534,9 @@ class EpsilonEngine(DynamicEngine):
         for iid in sorted(self.state.intervals):
             iv = self.state.intervals[iid]
             v, slot = locate(self.root, iv, _coord)
-            v.buckets[slot].add(iv)
-            self._anchor[iid] = v
+            bucket = v.buckets[slot]
+            bucket.add(iv)
+            self._anchor[iid] = bucket
         for v in iter_nodes(self.root):
             pool = [iv.id for iv in node_pool(v)]
             self._chain_extremes(v, node_extremes(v), pool, rebuild=True)

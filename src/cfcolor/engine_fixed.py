@@ -9,11 +9,13 @@ base class holds the palette rule, the color bound, chain-coloring a node's
 extremes, the per-node audit and the chained set: per node, the ids
 anchored there that wear one of its level colors.  Only those ids and the
 node's extremes can need a new color when the node is rechained.  All
-engines read extremes from the `btree.Bucket` caches.
+engines read extremes from the `btree.Bucket` caches, and anchor every live
+id at the `Bucket` holding it; a bucket names its owner node.
 
 Over a fixed integer universe {0, ..., U-1} the B-tree skeleton is built
 once and never changes, so updates only move intervals in and out of
-buckets.  Two palette disciplines are provided:
+buckets, and an id's anchor bucket and its owner never change while the id
+is live.  Two palette disciplines are provided:
 
 * distinct colors: each extreme holds a color of its level palette (size
   4t-2) not used by any other extreme at the node; at most 2 recolorings
@@ -28,6 +30,7 @@ from typing import Iterable
 
 from .btree import (
     BNode,
+    Bucket,
     build_tree,
     iter_nodes,
     locate,
@@ -45,19 +48,20 @@ __all__ = ["LevelPaletteTree", "FixedDistinctEngine", "FixedChainEngine"]
 class LevelPaletteTree:
     """Coloring framework over a B-tree whose level l owns palette l.
 
-    Subclasses provide `root` and an `_anchor` map keyed by live id, keep
-    every live interval bucketed at exactly one node, and keep every id
+    Subclasses provide `root`, keep every live interval bucketed at
+    exactly one node, anchor its id in `_anchor` at that `Bucket`, keep
+    each bucket's `node` naming the node that holds it, and keep every id
     that wears a level color in the chained set of its node.
     """
 
     root: BNode
-    _anchor: dict
 
     def __init__(self, t: int) -> None:
         if t < 2:
             raise EngineError("minimum degree t must be at least 2")
         self.t = t
         self.state = ColoringState()
+        self._anchor: dict[int, Bucket] = {}
         # node -> ids anchored there that wear a color of its level; keyed
         # by the node itself, since dead nodes' ids can be reused
         self._chained: dict[BNode, set[int]] = {}
@@ -102,7 +106,8 @@ class LevelPaletteTree:
         colors appear, non-extremes are dummy, the node's own intervals are
         locally conflict-free, and each one wearing a color is in the
         node's chained set.  Every live interval is bucketed at exactly one
-        node and has an anchor entry.
+        node, its anchor entry is that bucket, and every bucket's owner is
+        the node holding it.
         """
         validate_structure(self.root, self.t)
         seen: set[int] = set()
@@ -132,8 +137,16 @@ class LevelPaletteTree:
                     raise InvariantError(f"interval {iid} wears {c} but is not chained at its node")
         if seen != set(self.state.intervals):
             raise InvariantError("bucketed intervals out of sync with live set")
-        if self._anchor.keys() != self.state.intervals.keys():
+        anchor = self._anchor
+        if anchor.keys() != self.state.intervals.keys():
             raise InvariantError("anchor map out of sync with live set")
+        for v in iter_nodes(self.root):
+            for bucket in v.buckets:
+                if bucket.node is not v:
+                    raise InvariantError(f"bucket owner stale at a level-{v.level} node")
+                for iid in bucket.members:
+                    if anchor[iid] is not bucket:
+                        raise InvariantError(f"anchor map stale for {iid}")
 
 
 class _FixedBase(LevelPaletteTree):
@@ -143,7 +156,6 @@ class _FixedBase(LevelPaletteTree):
         super().__init__(t)
         self.universe = universe
         self.root, _ = build_tree(range(universe), t)
-        self._anchor: dict[int, tuple[BNode, int]] = {}
 
     def _check(self, interval: Interval) -> None:
         for x in (interval.left, interval.right):
@@ -151,13 +163,6 @@ class _FixedBase(LevelPaletteTree):
                 raise EngineError(f"endpoint {x} is not an integer universe point")
             if not 0 <= x <= self.universe - 1:
                 raise EngineError(f"endpoint {x} outside universe [0, {self.universe - 1}]")
-
-    def audit(self) -> None:
-        """Framework invariants, then each anchor names its interval's bucket."""
-        super().audit()
-        for iid, (v, slot) in self._anchor.items():
-            if iid not in v.buckets[slot].members:
-                raise InvariantError(f"anchor map stale for {iid}")
 
 
 class FixedDistinctEngine(_FixedBase):
@@ -198,7 +203,7 @@ class FixedDistinctEngine(_FixedBase):
         bucket = v.buckets[slot]
         old = bucket.extremes()
         bucket.add(interval)
-        self._anchor[interval.id] = (v, slot)
+        self._anchor[interval.id] = bucket
         new = bucket.extremes()
         new_ids = {iv.id for iv in new}
         chained = self._chained.setdefault(v, set())
@@ -214,8 +219,8 @@ class FixedDistinctEngine(_FixedBase):
 
     def delete(self, iid: int) -> None:
         self.state.begin_delete(iid)
-        v, slot = self._anchor.pop(iid)
-        bucket = v.buckets[slot]
+        bucket = self._anchor.pop(iid)
+        v = bucket.node
         old_ids = {iv.id for iv in bucket.extremes()}
         del bucket.members[iid]
         self.state.remove(iid)
@@ -244,15 +249,16 @@ class FixedChainEngine(_FixedBase):
         v, slot = locate(self.root, interval)
         bucket = v.buckets[slot]
         bucket.add(interval)
-        self._anchor[interval.id] = (v, slot)
+        self._anchor[interval.id] = bucket
         if interval.id not in {iv.id for iv in bucket.extremes()}:
             self.state.set_color(interval.id, DUMMY)
         self._rechain(v)
 
     def delete(self, iid: int) -> None:
         self.state.begin_delete(iid)
-        v, slot = self._anchor.pop(iid)
-        del v.buckets[slot].members[iid]
+        bucket = self._anchor.pop(iid)
+        del bucket.members[iid]
+        v = bucket.node
         self.state.remove(iid)
         self._chained.get(v, set()).discard(iid)
         self._rechain(v)

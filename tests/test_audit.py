@@ -25,7 +25,6 @@ ENGINES = {
     "dynamic": (lambda: DynamicEngine(2), 2),
     "eps": (lambda: EpsilonEngine(0.5), 2),
 }
-FIXED = ["fixed-distinct", "fixed-chain"]
 
 
 def populated(name):
@@ -156,11 +155,10 @@ def test_distinct_extreme_wearing_dummy():
 
 def test_stale_anchor(name):
     eng = populated(name)
-    iid, anchor = next(iter(eng._anchor.items()))
-    # fixed engines anchor an id at (node, slot), dynamic ones at a node
-    home = anchor[0] if name in FIXED else anchor
-    other = next(w for w in iter_nodes(eng.root) if w is not home)
-    eng._anchor[iid] = (other, 0) if name in FIXED else other
+    iid, home = next(iter(eng._anchor.items()))
+    # every engine anchors an id at its Bucket; point it at one elsewhere
+    eng._anchor[iid] = next(b for w in iter_nodes(eng.root) if w is not home.node
+                            for b in w.buckets)
     with pytest.raises(InvariantError, match="anchor map stale"):
         eng.audit()
 
@@ -170,6 +168,17 @@ def test_anchor_of_a_deleted_id(name):
     gone = max(eng.state.intervals) + 1
     eng._anchor[gone] = next(iter(eng._anchor.values()))
     with pytest.raises(InvariantError, match="anchor map out of sync"):
+        eng.audit()
+
+
+def test_stale_bucket_owner(name):
+    eng = populated(name)
+    # a rebalance moves a bucket by re-pointing its owner; one left behind
+    # must fail the shared audit, whatever the anchors say
+    home = next(v for v in iter_nodes(eng.root) if any(b.members for b in v.buckets))
+    other = next(w for w in iter_nodes(eng.root) if w is not home)
+    next(b for b in home.buckets if b.members).node = other
+    with pytest.raises(InvariantError, match="bucket owner stale"):
         eng.audit()
 
 

@@ -144,6 +144,21 @@ class TestExtremes:
         ext = slot_extremes({5: a, 3: b})
         assert [iv.id for iv in ext] == [3]
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(1, 3)), max_size=12),
+           st.randoms(use_true_random=False))
+    def test_matches_the_key_rule(self, spans, rng):
+        """Against min/max under the (left, id) and (right, -id) keys, with
+        ties on both ends and members in no id order."""
+        ids = rng.sample(range(100), len(spans))
+        members = {i: Interval(i, a, a + d) for i, (a, d) in zip(ids, spans)}
+        if not members:
+            assert slot_extremes(members) == ()
+            return
+        lo = min(members.values(), key=lambda iv: (iv.left, iv.id))
+        hi = max(members.values(), key=lambda iv: (iv.right, -iv.id))
+        assert slot_extremes(members) == ((lo,) if lo is hi else (lo, hi))
+
     def test_node_extremes_concatenate_slots(self):
         root, _ = build_tree(range(3), 2)
         assert root.is_leaf and len(root.buckets) == 3
@@ -196,11 +211,30 @@ class TestBucket:
         b.members[1] = Interval(1, 2, 3)
         assert b.extremes() == slot_extremes(b.members)
 
+    def test_update_folds_into_a_known_cache(self):
+        b = Bucket()
+        b.add(Interval(1, 2, 5))
+        b.extremes()
+        b.update({2: Interval(2, 1, 3), 3: Interval(3, 3, 9), 4: Interval(4, 2, 4)})
+        assert (b.lo.id, b.hi.id) == (2, 3)
+        assert b.extremes() == slot_extremes(b.members)
+
+    def test_update_into_a_stale_cache_leaves_it_unknown(self):
+        b = Bucket()
+        b.add(Interval(1, 0, 3))
+        b.add(Interval(2, 1, 5))
+        b.extremes()
+        del b.members[1]
+        b.update({3: Interval(3, 2, 4)})
+        assert b.lo is None and b.hi is None
+        assert [iv.id for iv in b.extremes()] == [2]
+
     @settings(max_examples=300, deadline=None)
     @given(_steps)
     def test_cache_matches_scan_after_every_step(self, steps):
         """Single adds, plain dict removals, and bulk moves in through one
-        update call per receiving bucket."""
+        update call per receiving bucket.  A bulk update into a cache that
+        still holds keeps it known, and equal to the scan without a rescan."""
         buckets = [Bucket(), Bucket()]
         next_id = 0
 
@@ -208,6 +242,17 @@ class TestBucket:
             nonlocal next_id
             next_id += 1
             return Interval(next_id, *span)
+
+        def holds(b):
+            return b.lo is not None and b.members.get(b.lo.id) is b.lo \
+                and b.members.get(b.hi.id) is b.hi
+
+        def bulk(b, moved):
+            held = holds(b)
+            b.update(moved)
+            if held:
+                ext = slot_extremes(b.members)
+                assert (b.lo, b.hi) == (ext[0], ext[-1])
 
         for step in steps:
             for kind, k, arg in step:
@@ -217,12 +262,12 @@ class TestBucket:
                 elif kind == "remove" and b.members:
                     del b.members[sorted(b.members)[arg % len(b.members)]]
                 elif kind == "bulk_add":
-                    b.update((iv.id, iv) for iv in map(fresh, arg))
+                    bulk(b, {iv.id: iv for iv in map(fresh, arg)})
                 elif kind == "take":
                     for iid in [iid for iid, iv in b.members.items() if iv.contains(arg)]:
                         b.members.pop(iid)
                 elif kind == "move":
                     moved = [iid for iid, iv in b.members.items() if iv.right >= arg]
-                    other.update({iid: b.members.pop(iid) for iid in moved})
+                    bulk(other, {iid: b.members.pop(iid) for iid in moved})
             for bucket in buckets:
                 assert bucket.extremes() == slot_extremes(bucket.members)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from cfcolor import DUMMY, Interval, is_conflict_free, is_conflict_free_fast
-from cfcolor.btree import iter_nodes, node_pool
+from cfcolor.btree import iter_nodes, node_pool, slot_extremes
 from cfcolor.core import EngineError, replay
 from cfcolor.engine_dynamic import DynamicEngine, EpsilonEngine, _Batch
 
@@ -263,3 +263,59 @@ def test_float_endpoint_workload():
             assert is_conflict_free(
                 list(eng.state.intervals.values()), eng.state.assignment
             )
+
+
+class TestWholeBucketMoves:
+    """A split or merge moves the buckets that go with their keys whole:
+    the same objects, re-pointed at their new owner, caches kept."""
+
+    def populated(self):
+        eng = DynamicEngine(t=2)
+        replay(eng, random_ops(random.Random(1), 300, universe=64, p_delete=0.3))
+        for v in iter_nodes(eng.root):
+            for bucket in v.buckets:
+                bucket.extremes()  # every cache known
+        return eng
+
+    def test_split_moves_median_and_right_buckets(self):
+        eng = self.populated()
+        parent, ci = next(
+            (v, i) for v in iter_nodes(eng.root) if len(v.keys) < 3
+            for i, c in enumerate(v.children)
+            if len(c.keys) == 3 and all(b.members for b in c.buckets[1:])
+        )
+        moving = parent.children[ci].buckets[1:]
+        caches = [(b.lo, b.hi) for b in moving]
+        batch = _Batch()
+        eng._split_child(parent, ci, batch)
+        median, right = parent.buckets[ci], parent.children[ci + 1]
+        assert median is moving[0] and median.node is parent
+        assert len(right.buckets) == len(moving) - 1
+        assert all(a is b and b.node is right for a, b in zip(right.buckets, moving[1:]))
+        assert [(b.lo, b.hi) for b in right.buckets] == caches[1:]
+        # the median's cache folded in the intervals that rose with it
+        ext = slot_extremes(median.members)
+        assert (median.lo, median.hi) == (ext[0], ext[-1])
+        eng._rechain(batch)
+        eng.audit()
+        assert eng.state.verdict()
+
+    def test_merge_moves_right_buckets(self):
+        eng = self.populated()
+        parent, si = next(
+            (v, i) for v in iter_nodes(eng.root) if v.children
+            and (v is eng.root or len(v.keys) >= 2)
+            for i in range(len(v.keys))
+            if len(v.children[i].keys) == len(v.children[i + 1].keys) == 1
+            and v.children[i + 1].buckets[0].members
+        )
+        right = parent.children[si + 1]
+        moving = list(right.buckets)
+        caches = [(b.lo, b.hi) for b in moving]
+        batch = _Batch()
+        left = eng._merge_children(parent, si, batch)
+        assert left.buckets[-1] is moving[0] and moving[0].node is left
+        assert [(b.lo, b.hi) for b in moving] == caches
+        eng._rechain(batch)
+        eng.audit()
+        assert eng.state.verdict()
