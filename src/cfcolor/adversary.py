@@ -57,6 +57,9 @@ __all__ = [
     "signature_of",
 ]
 
+# plays of the adaptive-budget loop when no budget is given
+_MAX_ADAPT = 3
+
 
 # --------------------------------------------------------------- signatures
 
@@ -202,14 +205,14 @@ class _Driver:
     """One play of a driver: inserts through core.replay, audits, and
     collects the rounds, designated colors and stars of its report."""
 
-    def __init__(self, engine, kind: str, n: int, r: int, audit: str,
-                 track_locality: bool):
+    def __init__(self, engine, kind: str, n: int, r: int, audit: str):
         self.engine = engine
         self.kind = kind
         self.n = n
         self.r = r
         self.audit = "every" if audit == "every" else "none"
-        self.locality = LocalityAudit() if track_locality else None
+        # the local driver also records locality evidence
+        self.locality = LocalityAudit() if kind == "local" else None
         self.ids = count()
         self.total = 0
         self.verdict = Verdict(True)
@@ -332,13 +335,13 @@ def _play(driver: _Driver, next_round) -> AdversaryReport:
     return driver.report(reason)
 
 
-def _adapt(play_once, engine_factory, budget_r, floor: int, max_adapt: int):
+def _adapt(play_once, engine_factory, budget_r, floor: int):
     """The adaptive-budget loop of both drivers: play once with budget_r,
     or else from r = floor, replaying with r = the observed recoloring
-    maximum while that exceeds r (at most max_adapt plays)."""
+    maximum while that exceeds r (at most _MAX_ADAPT plays)."""
     r = budget_r if budget_r is not None else floor
     report = None
-    for attempt in range(1, max_adapt + 1):
+    for attempt in range(1, _MAX_ADAPT + 1):
         report = play_once(engine_factory(), r)
         report.adapt_iterations = attempt
         if budget_r is not None or report.max_recolor <= r:
@@ -382,17 +385,16 @@ def run_general_adversary(
     n: int,
     budget_r: int | None = None,
     audit: str = "every",
-    max_adapt: int = 3,
 ) -> AdversaryReport:
     """Adaptive wrapper: rerun with the observed recoloring maximum until
-    the budget matches the engine's behavior (at most max_adapt runs)."""
+    the budget matches the engine's behavior (at most _MAX_ADAPT runs)."""
 
     def once(engine, r: int) -> AdversaryReport:
         if r < 1:
             raise InvariantError("general driver needs a recoloring budget >= 1")
-        return _play(_Driver(engine, "general", n, r, audit, False), _general_round)
+        return _play(_Driver(engine, "general", n, r, audit), _general_round)
 
-    return _adapt(once, engine_factory, budget_r, 1, max_adapt)
+    return _adapt(once, engine_factory, budget_r, 1)
 
 
 def _local_round(driver: _Driver) -> str | None:
@@ -413,15 +415,13 @@ def run_local_adversary(
     n: int,
     budget_r: int | None = None,
     audit: str = "every",
-    max_adapt: int = 3,
-    signatures: bool = True,
 ) -> AdversaryReport:
     def once(engine, r: int) -> AdversaryReport:
         if r < 0:
             raise InvariantError("negative recoloring budget")
-        return _play(_Driver(engine, "local", n, r, audit, signatures), _local_round)
+        return _play(_Driver(engine, "local", n, r, audit), _local_round)
 
-    return _adapt(once, engine_factory, budget_r, 0, max_adapt)
+    return _adapt(once, engine_factory, budget_r, 0)
 
 
 # ---------------------------------------------------------------- tradeoff

@@ -202,10 +202,10 @@ class ColoringState:
     it is used for output logging and for mirroring wrapped engines.
     """
 
-    def __init__(self, ledger: RecolorLedger | None = None):
+    def __init__(self):
         self.intervals: dict[int, Interval] = {}
         self.assignment: dict[int, Color] = {}
-        self.ledger = ledger if ledger is not None else RecolorLedger()
+        self.ledger = RecolorLedger()
         self.seen: set[Color] = set()
         self.on_assign: Callable[[int, Color, bool], None] | None = None
 
@@ -334,63 +334,58 @@ def is_conflict_free(
     """
     ivs = list(intervals)
     _missing_colors(ivs, assignment)
-    if not ivs:
-        return Verdict(True)
+    # code each distinct color once; the sweep then hashes only ints
+    palette: dict[Color, int] = {}
+    codes = [palette.setdefault(assignment[iv.id], len(palette)) for iv in ivs]
+    return _sweep(
+        [iv.left for iv in ivs],
+        [iv.right for iv in ivs],
+        codes,
+        [not c.is_dummy() for c in palette],
+    )
 
-    events: list[tuple[float, int, Color]] = []
-    for iv in ivs:
-        c = assignment[iv.id]
-        events.append((iv.left, 0, c))
-        events.append((iv.right, 1, c))
-    events.sort(key=lambda e: (e[0], e[1]))
 
-    counts: dict[Color, int] = {}
-    uniq = 0  # non-dummy colors occurring exactly once among active intervals
+def _sweep(lefts, rights, colors, nondummy, windows=None) -> Verdict:
+    """The endpoint sweep over parallel lists, in plain Python.
+
+    nondummy[c] tells whether color c counts as a unique color.  The sweep
+    visits each distinct endpoint and the open gap between each two
+    consecutive ones, and returns the first where some interval is active
+    but no such color occurs exactly once.  Given windows, closed (lo, hi)
+    spans, it checks only the endpoints inside one and the gaps within one.
+    """
+    evs = [(x, 0, c) for x, c in zip(lefts, colors)]
+    evs += [(x, 1, c) for x, c in zip(rights, colors)]
+    evs.sort()
+    counts = dict.fromkeys(colors, 0)
+    uniq = 0  # colors that count, occurring exactly once among active intervals
     active = 0
-
-    def push(c: Color) -> None:
-        nonlocal uniq
-        k = counts.get(c, 0) + 1
-        counts[c] = k
-        if not c.is_dummy():
-            if k == 1:
-                uniq += 1
-            elif k == 2:
-                uniq -= 1
-
-    def pop(c: Color) -> None:
-        nonlocal uniq
-        k = counts[c] - 1
-        if k:
-            counts[c] = k
-        else:
-            del counts[c]
-        if not c.is_dummy():
-            if k == 0:
-                uniq -= 1
-            elif k == 1:
-                uniq += 1
-
-    i = 0
-    m = len(events)
+    i, m = 0, len(evs)
     while i < m:
-        x = events[i][0]
-        while i < m and events[i][0] == x and events[i][1] == 0:
-            push(events[i][2])
+        x = evs[i][0]
+        while i < m and evs[i][0] == x and evs[i][1] == 0:
+            c = evs[i][2]
+            k = counts[c] = counts[c] + 1
+            if nondummy[c]:
+                uniq += 1 if k == 1 else -(k == 2)
             active += 1
             i += 1
-        if active and uniq == 0:
-            return Verdict(False, x)
-        while i < m and events[i][0] == x:
-            pop(events[i][2])
+        if active and not uniq:
+            if windows is None or any(a <= x <= b for a, b in windows):
+                return Verdict(False, x)
+        while i < m and evs[i][0] == x:
+            c = evs[i][2]
+            k = counts[c] = counts[c] - 1
+            if nondummy[c]:
+                uniq += 1 if k == 1 else -(k == 0)
             active -= 1
             i += 1
-        if active:
-            # open region between x and the next endpoint
-            nxt = events[i][0]
-            if uniq == 0:
+        if active and not uniq:
+            # the open gap between x and the next endpoint
+            nx = evs[i][0]
+            if windows is None or any(a <= x and nx <= b for a, b in windows):
                 # no overflow near the float limit
-                return Verdict(False, x / 2.0 + nxt / 2.0, (x, nxt))
+                return Verdict(False, x / 2.0 + nx / 2.0, (x, nx))
     return Verdict(True)
 
 
@@ -458,7 +453,9 @@ def _cf_over_arrays(lefts, rights, colors, nondummy) -> Verdict:
     stretches go onto two difference arrays over the reps; the first rep
     that is covered but has no unique color is the witness.  O(n log n) for
     n intervals, whatever the palette size.  Shared by is_conflict_free_fast
-    and audit loops that already keep endpoints in arrays.
+    and audit loops that already keep endpoints in arrays.  The endpoints
+    may also be object arrays of Fractions; a witness at an endpoint then
+    stays exact.
     """
     n = lefts.size
     xs, rank = np.unique(np.concatenate((lefts, rights)), return_inverse=True)
@@ -490,9 +487,9 @@ def _cf_over_arrays(lefts, rights, colors, nondummy) -> Verdict:
         return Verdict(True)
     k, odd = divmod(int(bad.argmax()), 2)
     if odd:
-        a, b = float(xs[k]), float(xs[k + 1])
+        a, b = xs.item(k), xs.item(k + 1)
         return Verdict(False, a / 2.0 + b / 2.0, (a, b))  # no overflow
-    return Verdict(False, float(xs[k]))
+    return Verdict(False, xs.item(k))
 
 
 def replay(engine: EngineProtocol, ops: Iterable[Op], audit: str = "none") -> Verdict:

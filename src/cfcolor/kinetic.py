@@ -14,21 +14,28 @@ most three recolorings.  The geometry right before and right after an
 event is probed at midpoints toward the neighboring event times, so the
 decisions never evaluate at the degenerate instant itself.
 
+The maintainer keeps its state once, in arrays aligned to the sorted ids:
+the endpoint coefficients (float64, or Fraction objects in exact mode),
+the chain mask, and palette codes into (DUMMY, *CHAIN_PALETTE), where
+dummy is code 0.  Its colors and chain are views built from them, and
+the same array code serves both modes: numpy sorts, searches and
+compares object arrays of Fractions exactly.
+
 check_invariants(t) audits C1-C3, the color rule and conflict-freeness.
-In float mode every passing audit leaves a certificate: the cursor, t,
-and copies of the chain, the palette codes and the chain mask.  When the
-events since then form exactly one whole batch, the certificate's time
-lies after the batch before it, and t lies between this batch and the
-next crossing of any kind, the endpoint order at t differs from the
-certified one only at the batch's crossing pairs: the locality argument
-of kinetic data structures (Basch, Guibas and Hershberger, SODA 1997).
-The audit then examines only what the batch touched (ids whose membership
-or code differs from the certificate's, and the event pairs) and its
-neighbourhood: chain positions within two places, and intervals meeting
-an event window, a dropped member's span or a recolored span.  Any other
-call (the first one, a stride above one, audit="final", a run's closing
-audit, or an arbitrary t) audits the whole state; exact mode always runs
-the plain sweep.
+Every passing audit leaves a certificate: the cursor, t, and copies of
+the codes and the chain mask.  When the events since then form exactly
+one whole batch, the certificate's time lies after the batch before it,
+and t lies between this batch and the next crossing of any kind, the
+endpoint order at t differs from the certified one only at the batch's
+crossing pairs: the locality argument of kinetic data structures (Basch,
+Guibas and Hershberger, SODA 1997).  The audit then examines only what
+the batch touched (ids whose membership or code differs from the
+certificate's, and the event pairs) and its neighbourhood: chain
+positions within two places, and intervals meeting an event window, a
+dropped member's span or a recolored span.  Any other call (the first
+one, a stride above one, audit="final", a run's closing audit, or an
+arbitrary t) audits the whole state.  A plain-Python sweep form of the
+audit is kept as the reference the tests compare against.
 
 The module also contains the machinery for the quadratic lower bound:
 rigid 4-interval gadgets whose pairwise overlap patterns admit no valid
@@ -42,6 +49,7 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -57,7 +65,9 @@ from .core import (
     InvariantError,
     RecolorLedger,
     TraceError,
+    Verdict,
     _cf_over_arrays,
+    _sweep,
     format_number,
     is_conflict_free,
     parse_number,
@@ -78,6 +88,10 @@ __all__ = [
 ]
 
 CHAIN_PALETTE = (Color(0, 0), Color(0, 1), Color(0, 2))
+# the palette that KineticMaintainer's codes index; dummy is code 0
+_PALETTE = (DUMMY, *CHAIN_PALETTE)
+_CODE = {c: k for k, c in enumerate(_PALETTE)}
+_NONDUMMY = np.array([not c.is_dummy() for c in _PALETTE])
 
 
 @dataclass(frozen=True)
@@ -214,56 +228,32 @@ def _meeting(lefts, rights, spans):
     return near
 
 
-def _first_conflict_within(windows, lefts, rights, codes, nondummy):
-    """First point inside a closed window whose stabbing set has no color
-    occurring exactly once, or None.
-
-    Sweeps, in plain Python, only the intervals that meet a window: those
-    hold every stabbing set of a point inside one.  Like _cf_over_arrays
-    it visits each distinct endpoint and each covered gap between two
-    consecutive ones; codes index a palette whose dummy mask is nondummy.
-    """
-    sel = _meeting(lefts, rights, windows).nonzero()[0]
-    cs = codes[sel].tolist()
-    evs = [(x, 0, c) for x, c in zip(lefts[sel].tolist(), cs)]
-    evs += [(x, 1, c) for x, c in zip(rights[sel].tolist(), cs)]
-    evs.sort()
-    counts = dict.fromkeys(cs, 0)
-    uniq = active = 0
-    i, m = 0, len(evs)
-    while i < m:
-        x = evs[i][0]
-        while i < m and evs[i][0] == x and evs[i][1] == 0:
-            c = evs[i][2]
-            k = counts[c] = counts[c] + 1
-            if nondummy[c]:
-                uniq += 1 if k == 1 else -(k == 2)
-            active += 1
-            i += 1
-        if active and not uniq and any(a <= x <= b for a, b in windows):
-            return x
-        while i < m and evs[i][0] == x:
-            c = evs[i][2]
-            k = counts[c] = counts[c] - 1
-            if nondummy[c]:
-                uniq += 1 if k == 1 else -(k == 0)
-            active -= 1
-            i += 1
-        if active and not uniq:
-            nx = evs[i][0]
-            if any(a <= x and nx <= b for a, b in windows):
-                return x / 2.0 + nx / 2.0
-    return None
-
-
 class _Certificate(NamedTuple):
-    """State at a passing check: cursor, time, chain, codes and chain mask."""
+    """State at a passing check: cursor, time, codes and chain mask."""
 
     cursor: int
     t: float
-    chain: set
     codes: np.ndarray
     mask: np.ndarray
+
+
+class _ColorView(Mapping):
+    """Read-only id -> Color view of the palette codes aligned to _vid."""
+
+    __slots__ = ("_codes", "_vpos")
+
+    def __init__(self, codes, vpos):
+        self._codes = codes
+        self._vpos = vpos
+
+    def __getitem__(self, iid) -> Color:
+        return _PALETTE[self._codes.item(self._vpos[iid])]
+
+    def __iter__(self):
+        return iter(self._vpos)
+
+    def __len__(self) -> int:
+        return len(self._vpos)
 
 
 @dataclass
@@ -276,7 +266,12 @@ class EventRecord:
 
 
 class KineticMaintainer:
-    """Keeps the chain and its coloring valid across every event."""
+    """Keeps the chain and its coloring valid across every event.
+
+    The state is held once, in arrays aligned to the sorted ids (_vid):
+    endpoint coefficients (float64, or Fraction objects in exact mode),
+    the chain mask and the codes into _PALETTE.
+    """
 
     def __init__(self, trajectories, t0=0.0, until=None, exact=False):
         if until is None or until <= t0:
@@ -309,45 +304,55 @@ class KineticMaintainer:
             self._next_time.append(all_times[k] if k < len(all_times) else None)
         self.cursor = 0
         self.ledger = RecolorLedger()
-        self.colors: dict[int, Color] = {}
         self.seen: set[Color] = set()
-        self.chain: set[int] = set()
-        # the chain as a mask over _vid, kept by _chain_add/_chain_drop
-        self._chain_mask = np.zeros(len(self.trajs), dtype=bool)
         self._prev_time = t0
         self._half = Fraction(1, 2) if exact else 0.5
-        self.exact = exact
-        # coefficient arrays for the vectorized audit, aligned to _vid
         self._vid = sorted(self.trajs)
         self._vid_arr = np.array(self._vid)
         self._vpos = {iid: k for k, iid in enumerate(self._vid)}
-        if not exact:
-            self._va0 = np.array([float(self.trajs[i].a0) for i in self._vid])
-            self._vva = np.array([float(self.trajs[i].va) for i in self._vid])
-            self._vb0 = np.array([float(self.trajs[i].b0) for i in self._vid])
-            self._vvb = np.array([float(self.trajs[i].vb) for i in self._vid])
-        # palette codes mirror self.colors for array-level checks
-        self._palette: list[Color] = []
-        self._pindex: dict[Color, int] = {}
-        self._nondummy = np.zeros(0, dtype=bool)
+        dtype = object if exact else np.float64
+        ordered = [self.trajs[i] for i in self._vid]
+        self._va0 = np.array([tr.a0 for tr in ordered], dtype=dtype)
+        self._vva = np.array([tr.va for tr in ordered], dtype=dtype)
+        self._vb0 = np.array([tr.b0 for tr in ordered], dtype=dtype)
+        self._vvb = np.array([tr.vb for tr in ordered], dtype=dtype)
+        self._chain_mask = np.zeros(len(self._vid), dtype=bool)
         self._codes = np.zeros(len(self._vid), dtype=np.intp)
         self._recolored_buf: list[tuple[int, Color]] = []
-        # state at the last passing float-mode check; see check_invariants
+        # state at the last passing check; see check_invariants
         self._cert: _Certificate | None = None
         self._init_chain()
+
+    @property
+    def colors(self) -> Mapping[int, Color]:
+        """Each id's color, as a read-only view of the codes."""
+        return _ColorView(self._codes, self._vpos)
+
+    @property
+    def chain(self) -> set[int]:
+        """The chain members' ids, built from the chain mask."""
+        return set(self._vid_arr[self._chain_mask].tolist())
 
     # ------------------------------------------------------------ geometry
 
     def snapshot(self, t) -> list[Interval]:
         return [tr.at(t) for tr in self.trajs.values()]
 
+    def _ends(self, t):
+        """Every interval's (lefts, rights) at t, aligned to _vid."""
+        return self._va0 + self._vva * t, self._vb0 + self._vvb * t
+
+    def _member(self, iid) -> bool:
+        return self._chain_mask.item(self._vpos[iid])
+
+    def _code(self, iid) -> int:
+        return self._codes.item(self._vpos[iid])
+
     def _order(self, t) -> list[int]:
         """Chain members by (left endpoint at t, id)."""
-        if self.exact:
-            return sorted(self.chain, key=lambda i: (self.trajs[i].left(t), i))
         cidx = np.flatnonzero(self._chain_mask)
-        # positions ascend with ids, so they break ties in left as ids do
-        order = cidx[np.lexsort((cidx, self._va0[cidx] + self._vva[cidx] * t))]
+        # positions ascend with ids, so a stable sort breaks ties by id
+        order = cidx[(self._va0[cidx] + self._vva[cidx] * t).argsort(kind="stable")]
         return self._vid_arr[order].tolist()
 
     def _neighbor(self, order, iid, side):
@@ -370,78 +375,59 @@ class KineticMaintainer:
         return segs
 
     def _chain_segments(self, t):
-        """Merged chain cover as sorted (starts, ends) arrays; float mode."""
+        """Merged chain cover as sorted (starts, ends) arrays."""
         cidx = np.flatnonzero(self._chain_mask)
         cl = self._va0[cidx] + self._vva[cidx] * t
         cr = self._vb0[cidx] + self._vvb[cidx] * t
-        o = np.argsort(cl, kind="stable")
+        o = cl.argsort(kind="stable")
         return _merged_cover(cl[o], cr[o])
 
     def _covered_by_chain(self, iid, t) -> bool:
-        if self.exact:
-            iv = self.trajs[iid].at(t)
-            segs = self._merged_chain(t)
-            pos = bisect_right([s[0] for s in segs], iv.left) - 1
-            return pos >= 0 and segs[pos][0] <= iv.left and iv.right <= segs[pos][1]
         starts, ends = self._chain_segments(t)
         tr = self.trajs[iid]
-        pos = int(np.searchsorted(starts, tr.left(t), side="right")) - 1
+        pos = int(starts.searchsorted(tr.left(t), side="right")) - 1
         return pos >= 0 and tr.right(t) <= ends[pos]
 
     # ------------------------------------------------------------ coloring
 
     def _init_chain(self):
-        snap = self.snapshot(self.t0)
-        coloring: dict[int, Color] = {iv.id: DUMMY for iv in snap}
-        for comp in connected_components(snap):
-            links = build_chain(comp)
-            for k, iv in enumerate(links):
-                self._chain_add(iv.id)
-                coloring[iv.id] = CHAIN_PALETTE[k % 2]
-        self.colors = coloring
-        self.seen = set(coloring.values())
-        for iid, color in coloring.items():
-            self._codes[self._vpos[iid]] = self._code_of(color)
+        for comp in connected_components(self.snapshot(self.t0)):
+            for k, iv in enumerate(build_chain(comp)):
+                pos = self._vpos[iv.id]
+                self._chain_mask[pos] = True
+                self._codes[pos] = _CODE[CHAIN_PALETTE[k % 2]]
+        self.seen = {_PALETTE[c] for c in set(self._codes.tolist())}
 
     def _chain_add(self, iid):
-        self.chain.add(iid)
         self._chain_mask[self._vpos[iid]] = True
 
     def _chain_drop(self, iid):
-        self.chain.discard(iid)
         self._chain_mask[self._vpos[iid]] = False
 
-    def _code_of(self, color) -> int:
-        j = self._pindex.get(color)
-        if j is None:
-            j = len(self._palette)
-            self._palette.append(color)
-            self._pindex[color] = j
-            self._nondummy = np.append(self._nondummy, not color.is_dummy())
-        return j
-
     def _set(self, iid, color) -> bool:
-        if self.colors[iid] == color:
+        k, code = self._vpos[iid], _CODE[color]
+        if self._codes.item(k) == code:
             return False
-        self.colors[iid] = color
-        self._codes[self._vpos[iid]] = self._code_of(color)
+        self._codes[k] = code
         self._recolored_buf.append((iid, color))
         self.seen.add(color)
         self.ledger.note()
         return True
 
-    def _color_added(self, aid, t):
-        order = self._order(t)
-        avoid = set()
-        for side in ("pred", "succ"):
-            nb = self._neighbor(order, aid, side)
-            if nb is not None:
-                avoid.add(self.colors[nb])
+    def _set_avoiding(self, iid, others):
+        """Give iid the first chain color that no id in others wears."""
+        avoid = {self._code(i) for i in others if i is not None}
         for c in CHAIN_PALETTE:
-            if c not in avoid:
-                self._set(aid, c)
+            if _CODE[c] not in avoid:
+                self._set(iid, c)
                 return
         raise InvariantError("no chain color available")  # |avoid| <= 2
+
+    def _color_added(self, aid, t):
+        order = self._order(t)
+        self._set_avoiding(
+            aid, [self._neighbor(order, aid, side) for side in ("pred", "succ")]
+        )
 
     # -------------------------------------------------------------- events
 
@@ -488,11 +474,11 @@ class KineticMaintainer:
         role, x, y = self._containment_roles(ev.id1, ev.id2, t_before, t_after)
         if role == "escape":
             # x slid out of y; chain may no longer cover x
-            if x in self.chain:
+            if self._member(x):
                 raise InvariantError(f"contained interval {x} was in the chain")
             if self._covered_by_chain(x, t_after):
                 return None, []
-            if y not in self.chain:
+            if not self._member(y):
                 raise InvariantError(f"uncovered escape from non-chain interval {y}")
             nb = self._neighbor(self._order(t_after), y, side)
             self._chain_add(x)
@@ -504,7 +490,7 @@ class KineticMaintainer:
             self._color_added(x, t_after)
             return x, removed
         if role == "capture":
-            if x not in self.chain:
+            if not self._member(x):
                 return None, []
             order = self._order(t_after)
             n1 = self._neighbor(order, x, side)
@@ -512,7 +498,7 @@ class KineticMaintainer:
             self._chain_drop(x)
             removed = [x]
             self._set(x, DUMMY)
-            if y in self.chain:
+            if self._member(y):
                 return None, removed
             self._chain_add(y)
             if (
@@ -529,7 +515,7 @@ class KineticMaintainer:
 
     def _meet(self, ev, t_after):
         left_id, right_id = ev.id1, ev.id2  # right endpoint of id1 met left of id2
-        if left_id not in self.chain or right_id not in self.chain:
+        if not (self._member(left_id) and self._member(right_id)):
             return None, []
         order = self._order(t_after)
         li, ri = order.index(left_id), order.index(right_id)
@@ -545,31 +531,22 @@ class KineticMaintainer:
             removed.append(mid)
             self._set(mid, DUMMY)
         # the pair is adjacent now; break a color tie by recoloring the left one
-        if self.colors[left_id] == self.colors[right_id]:
-            order = self._order(t_after)
-            pred = self._neighbor(order, left_id, "pred")
-            avoid = {self.colors[right_id]}
-            if pred is not None:
-                avoid.add(self.colors[pred])
-            for c in CHAIN_PALETTE:
-                if c not in avoid:
-                    self._set(left_id, c)
-                    break
+        if self._code(left_id) == self._code(right_id):
+            pred = self._neighbor(self._order(t_after), left_id, "pred")
+            self._set_avoiding(left_id, [right_id, pred])
         return None, removed
 
     def _separate(self, ev, t_after):
         left_id, right_id = ev.id1, ev.id2
-        if left_id not in self.chain or right_id not in self.chain:
+        if not (self._member(left_id) and self._member(right_id)):
             return None, []
         p = self.trajs[left_id].right(ev.time)
-        candidates = [
-            tr.id
-            for tr in self.trajs.values()
-            if tr.id not in self.chain and tr.left(ev.time) <= p <= tr.right(ev.time)
-        ]
-        if not candidates:
+        lefts, rights = self._ends(ev.time)
+        cand = (~self._chain_mask & (lefts <= p) & (rights >= p)).nonzero()[0]
+        if not cand.size:
             return None, []
-        bridge = min(candidates, key=lambda i: (self.trajs[i].left(ev.time), i))
+        # positions ascend with ids, so the first least left breaks ties by id
+        bridge = self._vid[cand[lefts[cand].argmin()]]
         order = self._order(t_after)
         old_pred = self._neighbor(order, left_id, "pred")
         old_succ = self._neighbor(order, right_id, "succ")
@@ -618,21 +595,18 @@ class KineticMaintainer:
     def check_invariants(self, t):
         """Raise InvariantError unless chain and coloring are valid at t.
 
-        A float-mode check right after one event batch, with the previous
-        passing check before that batch, checks only what the batch can
-        have changed (_check_invariants_delta); every other call checks the
+        A check right after one event batch, with the previous passing
+        check before that batch, checks only what the batch can have
+        changed (_check_invariants_delta); every other call checks the
         whole state.
         """
-        if self.exact:
-            self._check_invariants_sweep(t)
-            return
         cert, self._cert = self._cert, None
         if cert is not None and self._delta_applies(cert, t):
             self._check_invariants_delta(t, cert)
         else:
             self._check_invariants_fast(t)
         self._cert = _Certificate(
-            self.cursor, t, set(self.chain), self._codes.copy(), self._chain_mask.copy()
+            self.cursor, t, self._codes.copy(), self._chain_mask.copy()
         )
 
     def _delta_applies(self, cert, t) -> bool:
@@ -666,33 +640,26 @@ class KineticMaintainer:
         all intervals; conflict-freeness inside event windows and recolored
         spans.  An event window spans the event's two crossing endpoints.
         """
-        vid, vpos, chain = self._vid, self._vpos, self.chain
+        vid, vpos = self._vid, self._vpos
         mask, codes = self._chain_mask, self._codes
-        lefts = self._va0 + self._vva * t
-        rights = self._vb0 + self._vvb * t
+        lefts, rights = self._ends(t)
         batch = self.events[cert.cursor : self.cursor]
-        moved = chain ^ cert.chain
-        added = {i for i in moved if i in chain}
-        touched = set(moved)
-        touched.update(map(vid.__getitem__, (mask != cert.mask).nonzero()[0].tolist()))
-        touched.update(map(vid.__getitem__, (codes != cert.codes).nonzero()[0].tolist()))
+        moved = mask != cert.mask
+        hit = moved | (codes != cert.codes)
         for ev in batch:
-            touched.add(ev.id1)
-            touched.add(ev.id2)
-        if not chain:
+            hit[vpos[ev.id1]] = hit[vpos[ev.id2]] = True
+        touched = hit.nonzero()[0]
+        if not mask.any():
             raise InvariantError("empty chain with live intervals")
-        dummy_j = self._pindex.get(DUMMY, -1)
-        for iid in sorted(touched):
-            k = vpos[iid]
-            member = iid in chain
-            if mask.item(k) != member:
-                raise InvariantError(f"chain mask out of sync at interval {iid}")
-            if member and codes.item(k) == dummy_j:
-                raise InvariantError(f"chain member {iid} is dummy")
-            if not member and codes.item(k) != dummy_j:
-                raise InvariantError(
-                    f"non-chain interval {iid} has color {self.colors[iid]}"
-                )
+        # color rule: members wear a chain color, the rest dummy (code 0)
+        bad = mask[touched] == (codes[touched] == 0)
+        if bad.any():
+            k = touched[bad.argmax()]
+            if mask[k]:
+                raise InvariantError(f"chain member {vid[k]} is dummy")
+            raise InvariantError(
+                f"non-chain interval {vid[k]} has color {_PALETTE[codes[k]]}"
+            )
 
         # C1 and overlapping neighbours, within two places of each change
         cidx = mask.nonzero()[0]
@@ -700,10 +667,9 @@ class KineticMaintainer:
         cl, cr, cc = lefts[order], rights[order], codes[order]
         rank = np.empty(len(vid), dtype=np.intp)
         rank[order] = np.arange(order.size)
-        dropped = [vpos[i] for i in moved - added]
-        anchors = {rank.item(vpos[i]) for i in touched if i in chain}
-        if dropped:
-            anchors.update(cl.searchsorted(lefts[dropped]).tolist())
+        dropped = (moved & ~mask).nonzero()[0]
+        anchors = set(rank[touched[mask[touched]]].tolist())
+        anchors.update(cl.searchsorted(lefts[dropped]).tolist())
         size = order.size
         for k in sorted({a + d for a in anchors for d in (-2, -1, 0, 1)}):
             if k < 0 or k + 1 >= size:
@@ -717,9 +683,8 @@ class KineticMaintainer:
 
         # C2 wherever the cover or a covered interval may have changed
         spans = [_event_window(ev, vpos, lefts, rights) for ev in batch]
-        spans += [(lefts.item(k), rights.item(k)) for k in dropped]
-        near = _meeting(lefts, rights, spans)
-        near[[vpos[i] for i in touched]] = True
+        spans += [(lefts.item(k), rights.item(k)) for k in dropped.tolist()]
+        near = _meeting(lefts, rights, spans) | hit
         nc = (near & ~mask).nonzero()[0]
         starts = cl.searchsorted(lefts[nc], side="right").tolist()
         for k, p, lx, rx in zip(
@@ -746,25 +711,26 @@ class KineticMaintainer:
                     km, ky = vpos[m], vpos[y]
                     lm, ly = lefts.item(km), lefts.item(ky)
                     earlier = ly < lm or (ly == lm and ky < km)
-                    if m in chain and earlier and rights.item(km) <= rights.item(ky):
+                    if mask.item(km) and earlier and rights.item(km) <= rights.item(ky):
                         raise InvariantError(f"chain member {m} is contained")
-        for m in added:
-            km = vpos[m]
-            hit = (lefts <= lefts[km]) & (rights >= rights[km])
-            hit[km] = False
+        for km in (moved & mask).nonzero()[0].tolist():
+            outer = (lefts <= lefts[km]) & (rights >= rights[km])
+            outer[km] = False
             # an equal left counts only for an earlier position, as in a stable sort
-            hit[km + 1 :] &= lefts[km + 1 :] < lefts[km]
-            if hit.any():
-                raise InvariantError(f"chain member {m} is contained")
+            outer[km + 1 :] &= lefts[km + 1 :] < lefts[km]
+            if outer.any():
+                raise InvariantError(f"chain member {vid[km]} is contained")
 
-        x = self._conflict_since(cert, lefts, rights)
-        if x is not None:
-            raise InvariantError(f"coloring not conflict-free at {x}")
+        verdict = self._conflict_since(cert, lefts, rights)
+        if not verdict.ok:
+            raise InvariantError(f"coloring not conflict-free at {verdict.witness}")
 
-    def _conflict_since(self, cert, lefts, rights):
-        """A point without a unique color inside the batch's event windows or
-        the span of an id recolored since cert, or None.  Elsewhere the
-        stabbing sets and their colors are the certified ones."""
+    def _conflict_since(self, cert, lefts, rights) -> Verdict:
+        """The first point without a unique color inside the batch's event
+        windows or the span of an id recolored since cert.  Elsewhere the
+        stabbing sets and their colors are the certified ones.  Sweeps only
+        the intervals that meet a window: those hold every stabbing set of
+        a point inside one."""
         windows = [
             _event_window(ev, self._vpos, lefts, rights)
             for ev in self.events[cert.cursor : self.cursor]
@@ -774,79 +740,77 @@ class KineticMaintainer:
             for k in (self._codes != cert.codes).nonzero()[0].tolist()
         ]
         if not windows:
-            return None
-        return _first_conflict_within(
-            windows, lefts, rights, self._codes, self._nondummy.tolist()
+            return Verdict(True)
+        sel = _meeting(lefts, rights, windows).nonzero()[0]
+        return _sweep(
+            lefts[sel].tolist(),
+            rights[sel].tolist(),
+            self._codes[sel].tolist(),
+            _NONDUMMY.tolist(),
+            windows,
         )
 
     def _check_invariants_fast(self, t):
         """Array form of the audit; semantics match the sweep form."""
-        lefts = self._va0 + self._vva * t
-        rights = self._vb0 + self._vvb * t
-        n = len(self._vid)
-        cidx = np.fromiter(
-            (self._vpos[i] for i in self.chain), dtype=np.intp, count=len(self.chain)
-        )
+        lefts, rights = self._ends(t)
+        cmask, codes, vid = self._chain_mask, self._codes, self._vid
+        cidx = cmask.nonzero()[0]
         if cidx.size == 0:
-            if n:
+            if vid:
                 raise InvariantError("empty chain with live intervals")
             return
-        cmask = np.zeros(n, dtype=bool)
-        cmask[cidx] = True
-        if not np.array_equal(cmask, self._chain_mask):
-            raise InvariantError("chain mask out of sync with the chain")
-        order = cidx[np.argsort(lefts[cidx], kind="stable")]
+        order = cidx[lefts[cidx].argsort(kind="stable")]
         cl, cr = lefts[order], rights[order]
         # C1: two-apart chain members are strictly disjoint
         if order.size >= 3:
             bad = np.flatnonzero(cr[:-2] >= cl[2:])
             if bad.size:
                 k = int(bad[0])
-                a, b = self._vid[order[k]], self._vid[order[k + 2]]
+                a, b = vid[order[k]], vid[order[k + 2]]
                 raise InvariantError(f"chain members {a} and {b} both meet a point")
         # C2: non-chain intervals covered by the merged chain segments
         seg_starts, seg_ends = _merged_cover(cl, cr)
         nc = np.flatnonzero(~cmask)
         if nc.size:
-            pos = np.searchsorted(seg_starts, lefts[nc], side="right") - 1
+            pos = seg_starts.searchsorted(lefts[nc], side="right") - 1
             ok = (pos >= 0) & (rights[nc] <= seg_ends[np.maximum(pos, 0)])
             bad = np.flatnonzero(~ok)
             if bad.size:
-                iid = self._vid[nc[bad[0]]]
-                raise InvariantError(f"interval {iid} escapes the chain cover")
+                raise InvariantError(f"interval {vid[nc[bad[0]]]} escapes the chain cover")
         # C3: no chain member contained in an earlier-starting interval
-        o_all = np.argsort(lefts, kind="stable")
+        o_all = lefts.argsort(kind="stable")
         r_sorted = rights[o_all]
         prev_max = np.maximum.accumulate(np.concatenate(([-np.inf], r_sorted[:-1])))
         contained = (r_sorted <= prev_max) & cmask[o_all]
         if contained.any():
-            iid = self._vid[o_all[int(np.argmax(contained))]]
+            iid = vid[o_all[int(np.argmax(contained))]]
             raise InvariantError(f"chain member {iid} is contained")
-        dummy_j = self._pindex.get(DUMMY, -1)
-        chain_codes = self._codes[order]
-        if (chain_codes == dummy_j).any():
-            iid = self._vid[order[int(np.argmax(chain_codes == dummy_j))]]
+        # color rule: members wear a chain color, the rest dummy (code 0)
+        chain_codes = codes[order]
+        if (chain_codes == 0).any():
+            iid = vid[order[int(np.argmax(chain_codes == 0))]]
             raise InvariantError(f"chain member {iid} is dummy")
-        if nc.size and (self._codes[nc] != dummy_j).any():
-            k = int(np.argmax(self._codes[nc] != dummy_j))
-            iid = self._vid[nc[k]]
+        if nc.size and codes[nc].any():
+            k = nc[int(np.argmax(codes[nc] != 0))]
             raise InvariantError(
-                f"non-chain interval {iid} has color {self.colors[iid]}"
+                f"non-chain interval {vid[k]} has color {_PALETTE[codes[k]]}"
             )
         if order.size > 1:
             meets = cl[1:] <= cr[:-1]
             clash = meets & (chain_codes[1:] == chain_codes[:-1])
             if clash.any():
                 k = int(np.argmax(clash))
-                a, b = self._vid[order[k]], self._vid[order[k + 1]]
+                a, b = vid[order[k]], vid[order[k + 1]]
                 raise InvariantError(
                     f"overlapping chain members {a}, {b} share a color"
                 )
-        verdict = _cf_over_arrays(lefts, rights, self._codes, self._nondummy)
+        verdict = _cf_over_arrays(lefts, rights, codes, _NONDUMMY)
         if not verdict.ok:
             raise InvariantError(f"coloring not conflict-free at {verdict.witness}")
 
     def _check_invariants_sweep(self, t):
+        """The audit in plain Python, the reference for the array forms."""
+        chain, colors = self.chain, self.colors
         order = self._order(t)
         snap = {iid: tr.at(t) for iid, tr in self.trajs.items()}
         # C1: two-apart chain members are strictly disjoint
@@ -857,7 +821,7 @@ class KineticMaintainer:
         segs = self._merged_chain(t)
         starts = [s[0] for s in segs]
         for iid, iv in snap.items():
-            if iid in self.chain:
+            if iid in chain:
                 continue
             pos = bisect_right(starts, iv.left) - 1
             if pos < 0 or iv.right > segs[pos][1]:
@@ -866,12 +830,12 @@ class KineticMaintainer:
         by_left = sorted(snap.values(), key=lambda iv: (iv.left, iv.id))
         best_right = float("-inf")
         for iv in by_left:
-            if iv.id in self.chain and iv.right <= best_right:
+            if iv.id in chain and iv.right <= best_right:
                 raise InvariantError(f"chain member {iv.id} is contained")
             best_right = max(best_right, iv.right)
         # color invariant
-        for iid, color in self.colors.items():
-            if iid in self.chain:
+        for iid, color in colors.items():
+            if iid in chain:
                 if color.is_dummy():
                     raise InvariantError(f"chain member {iid} is dummy")
             elif not color.is_dummy():
@@ -880,9 +844,9 @@ class KineticMaintainer:
         # neighbors may clash since no point sees both (the meet event
         # recolors them before they touch)
         for a, b in zip(order, order[1:]):
-            if snap[a].intersects(snap[b]) and self.colors[a] == self.colors[b]:
+            if snap[a].intersects(snap[b]) and colors[a] == colors[b]:
                 raise InvariantError(f"overlapping chain members {a}, {b} share a color")
-        verdict = is_conflict_free(snap.values(), self.colors)
+        verdict = is_conflict_free(snap.values(), colors)
         if not verdict.ok:
             raise InvariantError(f"coloring not conflict-free at {verdict.witness}")
 

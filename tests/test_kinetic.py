@@ -6,8 +6,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cfcolor.core import DUMMY, EngineError, InvariantError, TraceError, _cf_over_arrays
+from cfcolor.core import (
+    DUMMY,
+    EngineError,
+    InvariantError,
+    TraceError,
+    _cf_over_arrays,
+    is_conflict_free,
+)
 from cfcolor.kinetic import (
+    _CODE,
+    _NONDUMMY,
+    _PALETTE,
     CHAIN_PALETTE,
     GADGET_REGIONS,
     GADGET_SHAPE,
@@ -92,6 +102,21 @@ class TestMaintainerInit:
         assert km.colors[0] != km.colors[1]
         assert km.colors[2] == DUMMY
         km.check_invariants(0.5)
+
+    def test_colors_is_a_read_only_view_of_the_codes(self):
+        km = KineticMaintainer(random_scenario(random.Random(4), 12), 0.0, 10.0)
+        view = km.colors
+        with pytest.raises(TypeError):
+            view[0] = DUMMY
+        t = km.run()[-1].t_eval
+        # the view taken before the run follows every recoloring
+        codes = {iid: _PALETTE[c] for iid, c in zip(km._vid, km._codes.tolist())}
+        assert dict(view) == codes and km.colors == codes
+        assert km.chain == {iid for iid, c in codes.items() if c != DUMMY}
+        # the sweep oracle over the view and the array oracle over the codes
+        assert is_conflict_free(km.snapshot(t), view) == _cf_over_arrays(
+            *km._ends(t), km._codes, _NONDUMMY
+        )
 
 
 class TestSingleEvents:
@@ -204,14 +229,15 @@ def _plant_fault(km, rng, cert):
     if kind == "unrepaired" and cert is not None:
         # the batch's repairs undone: its changed ids back to the certified
         # membership and colors, as if the event handlers had done nothing
-        ids = (km.chain ^ cert.chain) | {
-            km._vid[k] for k in np.flatnonzero(km._codes != cert.codes)
+        changed = (km._chain_mask != cert.mask) | (km._codes != cert.codes)
+        wrong = {
+            km._vid[k]: (bool(cert.mask[k]), _PALETTE[cert.codes[k]])
+            for k in np.flatnonzero(changed)
         }
-        wrong = {i: (i in cert.chain, km._palette[cert.codes[km._vpos[i]]]) for i in ids}
     else:
         iid = rng.choice(km._vid)
         c = km.colors[iid]
-        member = iid in km.chain
+        member = km._member(iid)
         if kind == "recolor":
             c = rng.choice(palette)
         elif kind == "chain":
@@ -222,16 +248,15 @@ def _plant_fault(km, rng, cert):
         else:
             c = rng.choice(palette)
         wrong = {iid: (member, c)}
-    right = {i: (i in km.chain, km.colors[i]) for i in wrong}
+    right = {i: (km._member(i), km.colors[i]) for i in wrong}
 
     def write(state):
         for i, (member, c) in state.items():
             (km._chain_add if member else km._chain_drop)(i)
             if kind == "recolor":
                 km._set(i, c)
-            else:  # a recolor that skips _set: colors and codes written directly
-                km.colors[i] = c
-                km._codes[km._vpos[i]] = km._code_of(c)
+            else:  # a recolor that skips _set: the code written directly
+                km._codes[km._vpos[i]] = _CODE[c]
 
     write(wrong)
     return lambda: write(right)
@@ -275,43 +300,60 @@ def test_simultaneous_crossings_keep_the_invariants():
     km.run(audit="every")
 
 
+def _audit_planted_faults(rng, scenarios, exact=False):
+    """Step each scenario batch by batch, planting a fault in 40% of the
+    batches, and require the full, sweep and (where it applies) delta
+    checks to agree.  Returns counts of delta checks, delta checks over
+    multi-event batches, planted faults and failing verdicts."""
+    deltas = multi = planted = raised = 0
+    for k in range(scenarios):
+        if k % 3 == 2:
+            trajs, until = random_scenario(rng, rng.randint(4, 24)), 10.0
+        else:
+            trajs, until = _grid_scenario(rng, rng.randint(8, 30)), 6.0
+        km = KineticMaintainer(trajs, 0.0, until, exact=exact)
+        while (rec := _step_batch(km)) is not None:
+            t, cert = rec.t_eval, km._cert
+            undo = None
+            if rng.random() < 0.4:
+                undo = _plant_fault(km, rng, cert)
+                planted += 1
+            verdicts = {
+                "full": _passes(km._check_invariants_fast, t),
+                "sweep": _passes(km._check_invariants_sweep, t),
+            }
+            if cert is not None and km._delta_applies(cert, t):
+                deltas += 1
+                multi += km.cursor - cert.cursor > 1
+                verdicts["delta"] = _passes(
+                    lambda t: km._check_invariants_delta(t, cert), t
+                )
+                # the windowed conflict sweep alone against the full
+                # oracle, witnesses and gaps included
+                lefts, rights = km._ends(t)
+                full_cf = _cf_over_arrays(lefts, rights, km._codes, _NONDUMMY)
+                windowed = km._conflict_since(cert, lefts, rights)
+                assert windowed == full_cf and windowed.gap == full_cf.gap
+            assert len(set(verdicts.values())) == 1, (verdicts, km.cursor)
+            raised += not verdicts["full"]
+            if undo is not None:
+                undo()
+            km.check_invariants(t)  # passes on the mended state and certifies it
+    return deltas, multi, planted, raised
+
+
 class TestDeltaCertification:
     def test_delta_full_and_sweep_agree_on_planted_faults(self):
-        rng = random.Random(9)
-        deltas = multi = planted = raised = 0
-        for k in range(24):
-            if k % 3 == 2:
-                km = KineticMaintainer(random_scenario(rng, rng.randint(4, 24)), 0.0, 10.0)
-            else:
-                km = KineticMaintainer(_grid_scenario(rng, rng.randint(8, 30)), 0.0, 6.0)
-            while (rec := _step_batch(km)) is not None:
-                t, cert = rec.t_eval, km._cert
-                undo = None
-                if rng.random() < 0.4:
-                    undo = _plant_fault(km, rng, cert)
-                    planted += 1
-                verdicts = {
-                    "full": _passes(km._check_invariants_fast, t),
-                    "sweep": _passes(km._check_invariants_sweep, t),
-                }
-                if cert is not None and km._delta_applies(cert, t):
-                    deltas += 1
-                    multi += km.cursor - cert.cursor > 1
-                    verdicts["delta"] = _passes(
-                        lambda t: km._check_invariants_delta(t, cert), t
-                    )
-                    # the windowed conflict sweep alone against the full
-                    # oracle, witnesses included
-                    lefts, rights = km._va0 + km._vva * t, km._vb0 + km._vvb * t
-                    full_cf = _cf_over_arrays(lefts, rights, km._codes, km._nondummy)
-                    assert km._conflict_since(cert, lefts, rights) == full_cf.witness
-                assert len(set(verdicts.values())) == 1, (verdicts, km.cursor)
-                raised += not verdicts["full"]
-                if undo is not None:
-                    undo()
-                km.check_invariants(t)  # passes on the mended state and certifies it
+        deltas, multi, planted, raised = _audit_planted_faults(random.Random(9), 24)
         assert deltas > 2000 and multi > 100 and planted > 1000
         assert 0.2 * planted < raised < planted  # faults of both outcomes
+
+    def test_exact_delta_full_and_sweep_agree_on_planted_faults(self):
+        deltas, multi, planted, raised = _audit_planted_faults(
+            random.Random(9), 6, exact=True
+        )
+        assert deltas > 400 and multi > 20 and planted > 150
+        assert 0.2 * planted < raised < planted
 
     def test_only_the_batch_after_a_certificate_takes_the_delta(self):
         rng = random.Random(9)
@@ -320,7 +362,8 @@ class TestDeltaCertification:
         rec = _step_batch(km)
         km.check_invariants(rec.t_eval)
         cert = km._cert
-        assert cert.cursor == km.cursor and cert.chain == km.chain
+        assert cert.cursor == km.cursor
+        assert (cert.mask == km._chain_mask).all() and (cert.codes == km._codes).all()
         assert not km._delta_applies(cert, rec.t_eval)  # no new events
         rec = _step_batch(km)
         assert km.cursor - cert.cursor == 6  # six crossings at t = 1
