@@ -261,7 +261,7 @@ class _Driver:
                     component_rank[x.id] = k + 1
                 break
         recolors = []
-        final_color = state.assignment.get(iv.id)
+        final_color = state.color_of(iv.id)
         comp_ids = set(component_rank)
         for iid, color, is_recolor in self._events:
             if is_recolor:
@@ -368,11 +368,11 @@ def _general_round(driver: _Driver) -> str | None:
             return "no-eligible-color"
         scored = []
         for cand in sorted(candidates):
-            living = living_rounds(rounds, designated + [cand], state.assignment.get)
+            living = living_rounds(rounds, designated + [cand], state.color_of)
             scored.append((len(living[-1]), cand))
         best_count = max(s for s, _ in scored)
         designated.append(min(c for s, c in scored if s == best_count))
-    star = living_rounds(rounds, designated, state.assignment.get)[-1]
+    star = living_rounds(rounds, designated, state.color_of)[-1]
     driver.stars.append(star)
     if len(star) < 4 * r:
         return "exhausted"

@@ -283,9 +283,10 @@ def cmd_verify(args) -> int:
         nonlocal op_open, recolor_cur, recolor_max
         if not op_open:
             return None
-        uncolored = [i for i in state.intervals if i not in state.assignment]
-        if uncolored:
-            raise fail(lineno, f"interval {uncolored[0]} was never assigned a color")
+        # A is accepted only for the op's own insert and R needs a color, so
+        # that insert is the one live id that can still lack a color
+        if last_insert is not None and last_insert not in state.assignment:
+            raise fail(lineno, f"interval {last_insert} was never assigned a color")
         verdict = is_conflict_free_fast(state.intervals.values(), state.assignment)
         recolor_max = max(recolor_max, recolor_cur)
         recolor_cur = 0

@@ -9,9 +9,13 @@ intervals containing it; the dummy color never counts as the unique one.
 
 from __future__ import annotations
 
-import itertools
 import math
+import weakref
+from collections import deque
+from collections.abc import ValuesView
 from dataclasses import dataclass, field
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Protocol, Union
 
 import numpy as np
@@ -193,6 +197,39 @@ class RecolorLedger:
         return self.total(include_rebuild) / len(self.records)
 
 
+# A patch costs about what a rebuild costs once a quarter of the live ids
+# are marked.  So the marks go into a queue bounded by that share of the
+# live count at the last fast audit (plus a floor for small states); when
+# it fills, the next fast audit rebuilds the columns instead.  The bound
+# also holds when a run audits only once, and costs the writers no check.
+_MARK_SHARE = 4
+_MARK_FLOOR = 64
+
+
+class _Live(dict):
+    """Live intervals by id; values() is a view that names the owning state.
+
+    is_conflict_free_fast takes the state's column cache when it is handed
+    this view together with the same state's assignment.
+    """
+
+    # a weak reference to the ColoringState: a strong one would make a
+    # cycle, and a dropped state would wait for the cyclic collector
+    __slots__ = ("owner",)
+
+    def values(self):
+        return _LiveValues(self)
+
+
+class _LiveValues(ValuesView):
+    """The values of a _Live, iterated by the dict itself, in C."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(dict.values(self._mapping))
+
+
 class ColoringState:
     """Live intervals plus their colors, with recolor accounting.
 
@@ -200,24 +237,42 @@ class ColoringState:
     interval already had a color) and reports it to the ledger.  An optional
     on_assign(id, color, is_recolor) hook observes every effective assignment;
     it is used for output logging and for mirroring wrapped engines.
+
+    intervals and assignment are read-only views; add(), remove() and
+    set_color() are the only writers.  Once a fast audit has built the
+    column cache, each writer marks its id, and the next audit patches the
+    cache from the marked ids.
     """
 
     def __init__(self):
-        self.intervals: dict[int, Interval] = {}
-        self.assignment: dict[int, Color] = {}
+        self._live = _Live()
+        self._live.owner = weakref.ref(self)
+        self._colors: dict[int, Color] = {}
+        self.intervals: Mapping[int, Interval] = MappingProxyType(self._live)
+        self.assignment: Mapping[int, Color] = MappingProxyType(self._colors)
+        self.color_of: Callable[[int], Color | None] = self._colors.get
         self.ledger = RecolorLedger()
         self.seen: set[Color] = set()
         self.on_assign: Callable[[int, Color, bool], None] | None = None
+        # (id, left, right, level, index) arrays, rows in no order, and the
+        # ids written since they were last brought up to date; both None
+        # until the first fast audit
+        self._cols: list[np.ndarray] | None = None
+        self._marked: deque[int] | None = None
 
     @property
     def n(self) -> int:
-        return len(self.intervals)
+        return len(self._live)
 
     def add(self, interval: Interval) -> None:
         """Make an interval live; a duplicate id is rejected before any change."""
-        if interval.id in self.intervals:
+        live = self._live
+        if interval.id in live:
             raise EngineError(f"duplicate insert id {interval.id}")
-        self.intervals[interval.id] = interval
+        live[interval.id] = interval
+        marked = self._marked
+        if marked is not None:  # one append while a column cache exists
+            marked.append(interval.id)
 
     def begin_insert(self, interval: Interval) -> None:
         """Open an insert: add() the interval, then begin its ledger record.
@@ -234,28 +289,34 @@ class ColoringState:
 
         The engine calls remove() once its own structures let go of the id.
         """
-        if interval_id not in self.intervals:
+        interval = self._live.get(interval_id)
+        if interval is None:
             raise EngineError(f"delete of unknown id {interval_id}")
         self.ledger.begin()
-        return self.intervals[interval_id]
+        return interval
 
     def remove(self, interval_id: int) -> Interval:
-        if interval_id not in self.intervals:
+        interval = self._live.pop(interval_id, None)
+        if interval is None:
             raise EngineError(f"delete of unknown id {interval_id}")
-        self.assignment.pop(interval_id, None)
-        return self.intervals.pop(interval_id)
-
-    def color_of(self, interval_id: int) -> Color | None:
-        return self.assignment.get(interval_id)
+        self._colors.pop(interval_id, None)
+        marked = self._marked
+        if marked is not None:
+            marked.append(interval_id)
+        return interval
 
     def set_color(self, interval_id: int, color: Color, rebuild: bool = False) -> bool:
-        if interval_id not in self.intervals:
+        if interval_id not in self._live:
             raise EngineError(f"coloring unknown id {interval_id}")
-        old = self.assignment.get(interval_id)
+        colors = self._colors
+        old = colors.get(interval_id)
         if old == color:
             return False
-        self.assignment[interval_id] = color
+        colors[interval_id] = color
         self.seen.add(color)
+        marked = self._marked
+        if marked is not None:
+            marked.append(interval_id)
         is_recolor = old is not None
         if is_recolor:
             self.ledger.note(rebuild)
@@ -263,8 +324,53 @@ class ColoringState:
             self.on_assign(interval_id, color, is_recolor)
         return True
 
+    def _columns(self) -> list[np.ndarray]:
+        """(left, right, level, index) arrays over the live intervals.
+
+        The first call builds the cache, and so does a call after the marks
+        filled their bounded queue.  Other calls drop the rows of every
+        marked id and append fresh rows for those still live, which also
+        covers an id reused with new endpoints.  Raises ValueError, and
+        leaves the cache as it was, when a live interval has no color.
+        """
+        cols, marked = self._cols, self._marked
+        live = self._live
+        if cols is None or len(marked) == marked.maxlen:
+            cols = self._rows(list(live), list(dict.values(live)))
+        elif marked:
+            m = _distinct(np.fromiter(marked, np.int64, len(marked)))
+            at = m.searchsorted(cols[0])
+            np.minimum(at, m.size - 1, out=at)
+            keep = m[at] != cols[0]
+            fresh = [i for i in m.tolist() if i in live]
+            fresh = self._rows(fresh, [live[i] for i in fresh])
+            # column by column, so that the old and the new cache are never
+            # held whole together; unset meanwhile, so that a failure half
+            # way leaves no cache rather than a torn one
+            self._cols = None
+            for k, f in enumerate(fresh):
+                cols[k] = np.concatenate((cols[k][keep], f))
+        self._cols = cols
+        self._marked = deque(maxlen=len(live) // _MARK_SHARE + _MARK_FLOOR)
+        return cols[1:]
+
+    def _rows(self, ids: list[int], ivs: list[Interval]) -> list[np.ndarray]:
+        try:
+            cols = [self._colors[i] for i in ids]
+        except KeyError:
+            _missing_colors(ivs, self._colors)
+            raise
+        n = len(ids)
+        return [
+            np.fromiter(ids, np.int64, n),
+            np.fromiter(map(_LEFT, ivs), np.float64, n),
+            np.fromiter(map(_RIGHT, ivs), np.float64, n),
+            np.fromiter(map(_LEVEL, cols), np.int64, n),
+            np.fromiter(map(_INDEX, cols), np.int64, n),
+        ]
+
     def colors_in_use(self, include_dummy: bool = True) -> set[Color]:
-        used = set(self.assignment.values())
+        used = set(self._colors.values())
         if not include_dummy:
             used.discard(DUMMY)
         return used
@@ -276,6 +382,12 @@ class ColoringState:
 
     def verdict(self) -> Verdict:
         return is_conflict_free(self.intervals.values(), self.assignment)
+
+
+_LEFT = attrgetter("left")
+_RIGHT = attrgetter("right")
+_LEVEL = attrgetter("level")
+_INDEX = attrgetter("index")
 
 
 class EngineProtocol(Protocol):
@@ -394,40 +506,56 @@ def is_conflict_free_fast(
 ) -> Verdict:
     """Vectorized variant of is_conflict_free; same verdicts and witnesses.
 
-    Each interval's color is looked up once; numpy does the rest.  The
-    palette is coded without hashing Color objects: levels and indices are
-    rank-compressed and the two ranks packed into one code.  O(n log n) for
-    n intervals, whatever the palette size.  Intended for tight audit loops;
-    agreement with the sweep version is tested.
+    Handed a ColoringState's own state.intervals.values() together with
+    the same state's assignment, it reads the state's column cache: built
+    on the first such call, then patched from the ids written since the
+    last one.  Any other input (a list, another mapping's values, a
+    snapshot) has its arrays built from the objects, each interval's color
+    looked up once.  Both paths code the palette the same way, without
+    hashing Color objects: levels and indices are rank-compressed and the
+    two ranks packed into one code.  O(n log n) for n intervals, whatever
+    the palette size.  Intended for tight audit loops; agreement with the
+    sweep version is tested.
     """
+    if type(intervals) is _LiveValues:
+        state = intervals._mapping.owner()
+        if state is not None and assignment is state.assignment:
+            try:
+                return _cf_over_colors(*state._columns())
+            except OverflowError:
+                # an id beyond int64 has no row; the object path takes the
+                # state, and raises as before if an endpoint overflows too
+                state._cols = state._marked = None
     ivs = list(intervals)
     n = len(ivs)
-    if not n:
-        return Verdict(True)
     try:
         cols = [assignment[iv.id] for iv in ivs]
     except KeyError:
         _missing_colors(ivs, assignment)
         raise
+    return _cf_over_colors(
+        np.fromiter(map(_LEFT, ivs), np.float64, n),
+        np.fromiter(map(_RIGHT, ivs), np.float64, n),
+        np.fromiter(map(_LEVEL, cols), np.int64, n),
+        np.fromiter(map(_INDEX, cols), np.int64, n),
+    )
+
+
+def _cf_over_colors(lefts, rights, levels, indices) -> Verdict:
+    """_cf_over_arrays over colors given as parallel level/index arrays."""
+    n = lefts.size
+    if not n:
+        return Verdict(True)
     # Levels and indices share one rank space, so a packed pair of ranks is
     # below (2n)^2 and cannot overflow.  A palette has few distinct values:
     # searchsorted into them beats the argsort behind return_inverse.
-    pairs = np.fromiter(
-        itertools.chain((c.level for c in cols), (c.index for c in cols)),
-        np.int64,
-        2 * n,
-    )
+    pairs = np.concatenate((levels, indices))
     values = _distinct(pairs)
     ranks = values.searchsorted(pairs)
     codes = ranks[:n] * values.size + ranks[n:]
     packed = _distinct(codes)
     nondummy = values[packed // values.size] >= 0
-    return _cf_over_arrays(
-        np.fromiter((iv.left for iv in ivs), np.float64, n),
-        np.fromiter((iv.right for iv in ivs), np.float64, n),
-        packed.searchsorted(codes),
-        nondummy,
-    )
+    return _cf_over_arrays(lefts, rights, packed.searchsorted(codes), nondummy)
 
 
 def _distinct(a):

@@ -427,7 +427,7 @@ class DynamicEngine(LevelPaletteTree):
 
         Colors change only when the update rechains, after all moves.
         """
-        color_of = self.state.assignment.get
+        color_of = self.state.color_of
         arrived = batch.arrived.setdefault(node, [])
         arrived.extend(iid for iid in ids if color_of(iid) is not DUMMY)
 

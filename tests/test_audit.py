@@ -34,6 +34,17 @@ def populated(name):
     return eng
 
 
+def plant_color(state, iid, color):
+    """Recolor iid behind set_color's back: no ledger record, no hook.
+
+    The state's mappings are read-only, so the fault goes into its private
+    dict.  Dropping the column cache makes the next fast audit rebuild it
+    from the objects, so that audit sees the planted color too.
+    """
+    state._colors[iid] = color
+    state._cols = state._marked = None
+
+
 def colored_extreme(eng):
     """(node, interval) of some extreme wearing a palette color."""
     for v in iter_nodes(eng.root):
@@ -65,7 +76,7 @@ def test_non_extreme_with_level_color(name):
         for iv in node_pool(v)
         if iv.id not in {e.id for e in node_extremes(v)}
     )
-    eng.state.assignment[iv.id] = Color(v.level, 0)
+    plant_color(eng.state, iv.id, Color(v.level, 0))
     with pytest.raises(InvariantError, match="non-extreme"):
         eng.audit()
 
@@ -73,7 +84,7 @@ def test_non_extreme_with_level_color(name):
 def test_wrong_level_color(name):
     eng = populated(name)
     v, iv = colored_extreme(eng)
-    eng.state.assignment[iv.id] = Color(v.level + 1, 0)
+    plant_color(eng.state, iv.id, Color(v.level + 1, 0))
     with pytest.raises(InvariantError, match="not a level-"):
         eng.audit()
 
@@ -81,7 +92,7 @@ def test_wrong_level_color(name):
 def test_palette_index_out_of_range(name):
     eng = populated(name)
     v, iv = colored_extreme(eng)
-    eng.state.assignment[iv.id] = Color(v.level, ENGINES[name][1])
+    plant_color(eng.state, iv.id, Color(v.level, ENGINES[name][1]))
     with pytest.raises(InvariantError, match="not a level-"):
         eng.audit()
 
@@ -90,7 +101,7 @@ def test_node_not_locally_conflict_free(name):
     eng = populated(name)
     v, ext = overlapping_extremes(eng)
     for iv in ext:
-        eng.state.assignment[iv.id] = Color(v.level, 0)
+        plant_color(eng.state, iv.id, Color(v.level, 0))
     with pytest.raises(InvariantError, match="not locally conflict-free"):
         eng.audit()
 
@@ -137,7 +148,7 @@ def test_distinct_extremes_sharing_a_color():
     else:
         raise AssertionError("no node with two disjoint extremes")
     a, b = pair
-    eng.state.assignment[b.id] = eng.state.color_of(a.id)
+    plant_color(eng.state, b.id, eng.state.color_of(a.id))
     with pytest.raises(InvariantError, match="share a color"):
         eng.audit()
 
@@ -148,7 +159,7 @@ def test_distinct_extreme_wearing_dummy():
     eng.insert(Interval(11, 3, 7))
     eng.audit()
     # 11 alone keeps [3, 7] conflict-free, so only the distinct rule objects
-    eng.state.assignment[10] = DUMMY
+    plant_color(eng.state, 10, DUMMY)
     with pytest.raises(InvariantError, match="dummy color"):
         eng.audit()
 

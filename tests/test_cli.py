@@ -224,6 +224,13 @@ class TestVerify:
         code, _, err = cli(capsys, "verify", "--log", log)
         assert code == 2
         assert "never assigned" in err
+        assert err == "verify: line 2: interval 0 was never assigned a color\n"
+
+    def test_missing_assignment_at_the_end_of_the_log(self, capsys, tmp_path):
+        log = write(tmp_path, "tail.log", "I 0 1 5\nA 0 0 0\nD 0\nI 1 2 6\n")
+        code, _, err = cli(capsys, "verify", "--log", log)
+        assert code == 2
+        assert err == "verify: line 4: interval 1 was never assigned a color\n"
 
     def test_summary_mismatch_is_exit_2(self, capsys, tmp_path):
         log = write(
