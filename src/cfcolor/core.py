@@ -310,7 +310,9 @@ class ColoringState:
             raise EngineError(f"coloring unknown id {interval_id}")
         colors = self._colors
         old = colors.get(interval_id)
-        if old == color:
+        # identity first: engines that reuse their Color objects skip the
+        # dataclass __eq__ on a write that changes nothing
+        if old is color or old == color:
             return False
         colors[interval_id] = color
         self.seen.add(color)
@@ -511,11 +513,13 @@ def is_conflict_free_fast(
     on the first such call, then patched from the ids written since the
     last one.  Any other input (a list, another mapping's values, a
     snapshot) has its arrays built from the objects, each interval's color
-    looked up once.  Both paths code the palette the same way, without
-    hashing Color objects: levels and indices are rank-compressed and the
-    two ranks packed into one code.  O(n log n) for n intervals, whatever
-    the palette size.  Intended for tight audit loops; agreement with the
-    sweep version is tested.
+    looked up once.  Both paths then take _cf_over_colors: the intervals
+    wearing the dummy color are folded into the segments of their union,
+    and only the others' colors are coded, without hashing Color objects.
+    O(n log n) for n intervals, whatever the palette size, and the sort
+    behind the sweep is over the non-dummy intervals and the segments
+    only.  Intended for tight audit loops; agreement with the sweep
+    version, witness and gap included, is tested.
     """
     if type(intervals) is _LiveValues:
         state = intervals._mapping.owner()
@@ -541,11 +545,31 @@ def is_conflict_free_fast(
     )
 
 
+# the dummy ends of a state with no dummy row
+_NO_ENDS = np.empty(0)
+
+
 def _cf_over_colors(lefts, rights, levels, indices) -> Verdict:
-    """_cf_over_arrays over colors given as parallel level/index arrays."""
+    """Conflict-freeness over parallel endpoint and level/index arrays.
+
+    A row with level < 0 wears a dummy color: only its endpoints go on, to
+    _cf_folded's dummy union.  The other rows' colors are coded without
+    hashing Color objects: levels and indices are rank-compressed and the
+    two ranks packed into one code.
+    """
     n = lefts.size
     if not n:
         return Verdict(True)
+    keep = levels >= 0
+    if keep.all():
+        dummy_lefts = dummy_rights = _NO_ENDS
+    else:
+        drop = ~keep
+        dummy_lefts, dummy_rights = np.sort(lefts[drop]), np.sort(rights[drop])
+        lefts, rights, levels, indices = lefts[keep], rights[keep], levels[keep], indices[keep]
+        n = lefts.size
+        if not n:  # all dummy: no colors to code
+            return _cf_folded(lefts, rights, levels, dummy_lefts, dummy_rights)
     # Levels and indices share one rank space, so a packed pair of ranks is
     # below (2n)^2 and cannot overflow.  A palette has few distinct values:
     # searchsorted into them beats the argsort behind return_inverse.
@@ -553,9 +577,8 @@ def _cf_over_colors(lefts, rights, levels, indices) -> Verdict:
     values = _distinct(pairs)
     ranks = values.searchsorted(pairs)
     codes = ranks[:n] * values.size + ranks[n:]
-    packed = _distinct(codes)
-    nondummy = values[packed // values.size] >= 0
-    return _cf_over_arrays(lefts, rights, packed.searchsorted(codes), nondummy)
+    codes = _distinct(codes).searchsorted(codes)
+    return _cf_folded(lefts, rights, codes, dummy_lefts, dummy_rights)
 
 
 def _distinct(a):
@@ -572,36 +595,69 @@ def _cf_over_arrays(lefts, rights, colors, nondummy) -> Verdict:
     """Conflict-freeness over parallel endpoint/color-code arrays.
 
     colors holds indices into a palette whose dummy mask is nondummy.  The
-    distinct endpoints x_0 < x_1 < ... give the representative points
+    rows wearing a dummy color keep only their endpoints, for _cf_folded.
+    Shared by is_conflict_free_fast and audit loops that already keep
+    endpoints in arrays.  The endpoints may also be object arrays of
+    Fractions; a witness at an endpoint then stays exact.
+    """
+    nd = nondummy[colors]
+    if nd.all():
+        return _cf_folded(lefts, rights, colors, _NO_ENDS, _NO_ENDS)
+    dummy = ~nd
+    return _cf_folded(
+        lefts[nd], rights[nd], colors[nd], np.sort(lefts[dummy]), np.sort(rights[dummy])
+    )
+
+
+def _cf_folded(lefts, rights, colors, dummy_lefts, dummy_rights) -> Verdict:
+    """The rep sweep over non-dummy rows plus the union of the dummy rows.
+
+    lefts, rights and colors are the rows wearing a non-dummy color, coded
+    as small non-negative ints; dummy_lefts and dummy_rights are the other
+    rows' endpoints, each sorted on its own.  A dummy interval matters only
+    through coverage, so the dummy rows enter the sweep as the maximal
+    segments of their union (_union_segments).
+
+    The distinct endpoints x_0 < x_1 < ... give the representative points
     ("reps"): rep 2k is x_k and rep 2k+1 stands for the open gap
     (x_k, x_{k+1}), so an interval covers reps 2*rank(left) .. 2*rank(right).
-    One sort of the non-dummy intervals' (color, rep) start and end events
-    and a running count over them mark, per color, the stretches of reps
-    where that color occurs exactly once.  Those stretches and the covered
+    One sort of the non-dummy rows' (color, rep) start and end events and a
+    running count over them mark, per color, the stretches of reps where
+    that color occurs exactly once.  Those stretches and the covered
     stretches go onto two difference arrays over the reps; the first rep
-    that is covered but has no unique color is the witness.  O(n log n) for
-    n intervals, whatever the palette size.  Shared by is_conflict_free_fast
-    and audit loops that already keep endpoints in arrays.  The endpoints
-    may also be object arrays of Fractions; a witness at an endpoint then
-    stays exact.
-    """
-    n = lefts.size
-    xs, rank = np.unique(np.concatenate((lefts, rights)), return_inverse=True)
-    m = 2 * xs.size  # reps 0 .. m-2 and one slot past the last
-    # an interval covers reps [2*rank(left), 2*rank(right) + 1)
-    rep = 2 * rank
-    rep[n:] += 1
-    cover = (
-        np.bincount(rep[:n], minlength=m) - np.bincount(rep[n:], minlength=m)
-    ).cumsum()
+    that is covered but has no unique color is the violation.
 
-    # Sorted (color, rep) events of the non-dummy intervals; a start (+1)
-    # is at an even rep and an end (-1) at an odd one.  The running count
-    # drops to 0 after each color's last event, so between two consecutive
+    The segments hide the dummy endpoints inside them, so a violating gap
+    (a, b) of this arrangement may hold more of the full one: its first
+    gap ends at the first dummy endpoint after a, when that is before b.
+    A violating endpoint needs no such fix-up.  So the verdict, witness
+    and gap are those of the sweep over every row.  O(n log n) for n rows,
+    whatever the palette size.
+    """
+    k = lefts.size
+    if dummy_lefts.size:
+        seg_lefts, seg_rights = _union_segments(dummy_lefts, dummy_rights)
+        s = seg_lefts.size
+        ends = np.concatenate((lefts, rights, seg_lefts, seg_rights))
+    else:
+        s = 0
+        ends = np.concatenate((lefts, rights))
+    xs, rank = np.unique(ends, return_inverse=True)
+    m = 2 * xs.size  # reps 0 .. m-2 and one slot past the last
+    # a row covers reps [2*rank(left), 2*rank(right) + 1): its start sits
+    # at an even rep and its end at an odd one
+    rep = 2 * rank
+    rep[k : 2 * k] += 1
+    rep[2 * k + s :] += 1
+    cover = np.bincount(rep, minlength=m)
+    cover[1::2] *= -1
+    cover = cover.cumsum()
+
+    # Sorted (color, rep) events of the non-dummy rows; a start (+1) is at
+    # an even rep and an end (-1) at an odd one.  The running count drops
+    # to 0 after each color's last event, so between two consecutive
     # events it is that color's multiplicity, and no stretch spans colors.
-    codes = np.concatenate((colors, colors))
-    nd = nondummy[codes]
-    events = codes[nd].astype(np.int64, copy=False) * m + rep[nd]
+    events = np.concatenate((colors, colors)).astype(np.int64, copy=False) * m + rep[: 2 * k]
     events.sort()
     at = events % m
     count = (1 - 2 * (at % 2)).cumsum()
@@ -613,11 +669,31 @@ def _cf_over_arrays(lefts, rights, colors, nondummy) -> Verdict:
     bad = (cover > 0) & (unique == 0)
     if not bad.any():
         return Verdict(True)
-    k, odd = divmod(int(bad.argmax()), 2)
-    if odd:
-        a, b = xs.item(k), xs.item(k + 1)
-        return Verdict(False, a / 2.0 + b / 2.0, (a, b))  # no overflow
-    return Verdict(False, xs.item(k))
+    j, odd = divmod(int(bad.argmax()), 2)
+    if not odd:
+        return Verdict(False, xs.item(j))
+    a, b = xs.item(j), xs.item(j + 1)
+    for dummy_ends in (dummy_lefts, dummy_rights):
+        i = dummy_ends.searchsorted(a, "right")
+        if i < dummy_ends.size:
+            b = min(b, dummy_ends.item(i))
+    return Verdict(False, a / 2.0 + b / 2.0, (a, b))  # no overflow
+
+
+def _union_segments(lefts, rights):
+    """The maximal segments of a union of closed intervals, given sorted ends.
+
+    With lefts and rights each sorted, the union breaks after rights[i]
+    exactly when lefts[i + 1] > rights[i]: at a point between the two, at
+    least i + 1 intervals have ended and at most i + 1 have started, so
+    none is active.  Abutting intervals such as [0, 1] and [1, 2] make one
+    segment [0, 2].
+    """
+    breaks = lefts[1:] > rights[:-1]
+    return (
+        np.concatenate((lefts[:1], lefts[1:][breaks])),
+        np.concatenate((rights[:-1][breaks], rights[-1:])),
+    )
 
 
 def replay(engine: EngineProtocol, ops: Iterable[Op], audit: str = "none") -> Verdict:

@@ -26,6 +26,7 @@ is live.  Two palette disciplines are provided:
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
 
 from .btree import (
@@ -43,6 +44,16 @@ from .chain import build_chain, color_chain, connected_components
 from .core import DUMMY, Color, ColoringState, EngineError, Interval, InvariantError, is_conflict_free
 
 __all__ = ["LevelPaletteTree", "FixedDistinctEngine", "FixedChainEngine"]
+
+
+@cache
+def _level_palette(level: int) -> tuple[Color, Color]:
+    """The 2 colors of a level, one object each for the whole process.
+
+    set_color then finds a color that did not change by identity, without
+    the dataclass __eq__.
+    """
+    return Color(level, 0), Color(level, 1)
 
 
 class LevelPaletteTree:
@@ -90,7 +101,7 @@ class LevelPaletteTree:
         all assignments run in ascending id order.  The ids left wearing a
         color become v's chained set.
         """
-        palette = [Color(v.level, 0), Color(v.level, 1)]
+        palette = _level_palette(v.level)
         target = dict.fromkeys(dummies, DUMMY)
         for comp in connected_components(extremes):
             target.update(color_chain(build_chain(comp), comp, palette))

@@ -37,11 +37,18 @@ class GridEngine:
             eng.state.on_assign = self._mirror(parity)
 
     def _mirror(self, parity: int) -> Callable[[int, Color, bool], None]:
+        # one outer Color object per inner (level, index), so that
+        # set_color finds a color that did not change by identity
+        outer: dict[tuple[int, int], Color] = {}
+
         def apply(iid: int, color: Color, is_recolor: bool) -> None:
-            if color.is_dummy():
-                self.state.set_color(iid, DUMMY)
-            else:
-                self.state.set_color(iid, Color(2 * color.level + parity, color.index))
+            key = (color.level, color.index)
+            translated = outer.get(key)
+            if translated is None:
+                translated = outer[key] = (
+                    DUMMY if color.is_dummy() else Color(2 * color.level + parity, color.index)
+                )
+            self.state.set_color(iid, translated)
 
         return apply
 

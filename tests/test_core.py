@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cfcolor.core import (
     TraceError,
     Verdict,
     _cf_over_arrays,
+    _union_segments,
     elementary_regions,
     format_number,
     format_op,
@@ -182,8 +184,8 @@ class TestOracle:
         ivs, assignment = random_instance(rng, n, span=span, colors=colors, levels=4)
         slow = is_conflict_free(ivs, assignment)
         fast = is_conflict_free_fast(ivs, assignment)
-        assert fast.ok == slow.ok
-        assert fast.witness == slow.witness
+        assert fast == slow
+        assert fast.gap == slow.gap
         if not slow.ok:
             # the witness must be a genuine violation
             w = slow.witness
@@ -225,6 +227,100 @@ class TestOracle:
             assert verdict == want, codes
             colors = {iv.id: palette[c] for iv, c in zip(ivs, codes)}
             assert is_conflict_free(ivs, colors) == want, codes
+
+
+class TestDummyFold:
+    """_cf_over_arrays folds the dummy rows into their union before the sweep.
+
+    Its verdict, witness and gap must be those of the sweep over every row,
+    the dummy endpoints inside a folded segment included.
+    """
+
+    # the dummy is not code 0, and GREEN is in the palette but may go unworn
+    PALETTE = [BLUE, DUMMY, RED, GREEN]
+    NONDUMMY = np.array([not c.is_dummy() for c in PALETTE])
+    B, D, R, G = range(4)
+
+    # endpoints are small ints, mapped onto each number form below
+    FORMS = {
+        "float": float,
+        "near-limit": lambda x: (x - 18) * 9e306,  # up to +-1.62e308
+        "fraction": lambda x: Fraction(x, 3),
+    }
+
+    def _agree(self, rows, form):
+        """rows: (left, right, code) on small ints; compare both oracles."""
+        f = self.FORMS[form]
+        ivs = [Interval(i, f(a), f(b)) for i, (a, b, _) in enumerate(rows)]
+        dtype = object if form == "fraction" else np.float64
+        lefts = np.array([iv.left for iv in ivs], dtype=dtype)
+        rights = np.array([iv.right for iv in ivs], dtype=dtype)
+        codes = np.array([c for _, _, c in rows])
+        fast = _cf_over_arrays(lefts, rights, codes, self.NONDUMMY)
+        slow = is_conflict_free(ivs, {iv.id: self.PALETTE[c] for iv, (_, _, c) in zip(ivs, rows)})
+        assert fast == slow
+        assert fast.gap == slow.gap
+        return fast
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    def test_dummy_endpoints_inside_a_segment_split_the_gap(self, form):
+        # blue is unique up to 3; after it, two reds and the dummy union
+        # [1, 8] cover (3, 10).  That union hides the dummy ends 4 and 5,
+        # so the first violating gap of the full arrangement is (3, 4).
+        B, D, R = self.B, self.D, self.R
+        rows = [(0, 3, B), (3, 10, R), (3, 10, R), (1, 5, D), (4, 8, D)]
+        verdict = self._agree(rows, form)
+        f = self.FORMS[form]
+        assert verdict.gap == (f(3), f(4))
+
+    # name: (rows, conflict-free)
+    CASES = {
+        # a doubled red across the uncovered stretch between two dummy
+        # components; blue saves them only when it spans everything
+        "components apart": ([(0, 2, 1), (5, 7, 1), (1, 6, 2), (1, 6, 2), (0, 1, 0)], False),
+        "components apart ok": ([(0, 2, 1), (5, 7, 1), (0, 7, 0)], True),
+        # [0, 1] and [1, 2] are one segment; blue covers only up to 1
+        "abutting dummies": ([(0, 1, 1), (1, 2, 1), (0, 1, 0)], False),
+        "abutting dummies ok": ([(0, 1, 1), (1, 2, 1), (0, 2, 0)], True),
+        # dummies ending where a red starts, and starting where it ends
+        "shared endpoints": ([(0, 2, 1), (2, 4, 2), (4, 6, 1)], False),
+        "shared endpoints ok": ([(0, 2, 1), (0, 2, 0), (2, 4, 2), (4, 6, 1), (4, 6, 3)], True),
+        "all dummy": ([(0, 2, 1), (1, 3, 1), (5, 6, 1)], False),
+        "one dummy": ([(2, 3, 1)], False),
+        "no dummy": ([(0, 2, 0), (1, 3, 2), (2, 4, 0)], True),
+        "no dummy clash": ([(0, 3, 0), (1, 3, 0), (2, 4, 2)], False),
+        # nested dummies under one red, and a dummy-only tail past it
+        "nested": ([(0, 10, 1), (1, 2, 1), (3, 8, 1), (0, 9, 2)], False),
+    }
+
+    @pytest.mark.parametrize("form", sorted(FORMS))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_cases(self, case, form):
+        rows, ok = self.CASES[case]
+        assert self._agree(rows, form).ok == ok
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            # (left, length, code), three in four rows dummy
+            st.tuples(st.integers(0, 24), st.integers(1, 8), st.sampled_from([0, 1, 1, 1, 1, 1, 2, 3])),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from(sorted(FORMS)),
+    )
+    def test_dummy_heavy_matches_sweep(self, rows, form):
+        self._agree([(a, a + k, c) for a, k, c in rows], form)
+
+    def test_union_segments(self):
+        def segments(*ivs):
+            lefts, rights = (np.sort(np.array(e, dtype=np.float64)) for e in zip(*ivs))
+            return [e.tolist() for e in _union_segments(lefts, rights)]
+
+        assert segments((0, 1), (1, 2)) == [[0], [2]]  # closed: abutting is one
+        assert segments((0, 1), (2, 3)) == [[0, 2], [1, 3]]
+        assert segments((0, 10), (1, 2), (3, 4)) == [[0], [10]]
+        assert segments((3, 4), (0, 2), (1, 3), (6, 7)) == [[0, 6], [4, 7]]
 
 
 class TestNearFloatLimit:
