@@ -596,9 +596,9 @@ def _cf_over_arrays(lefts, rights, colors, nondummy) -> Verdict:
 
     colors holds indices into a palette whose dummy mask is nondummy.  The
     rows wearing a dummy color keep only their endpoints, for _cf_folded.
-    Shared by is_conflict_free_fast and audit loops that already keep
-    endpoints in arrays.  The endpoints may also be object arrays of
-    Fractions; a witness at an endpoint then stays exact.
+    For audit loops that already keep endpoints and palette codes in
+    arrays, such as the kinetic maintainer.  The endpoints may also be
+    object arrays of Fractions; a witness at an endpoint then stays exact.
     """
     nd = nondummy[colors]
     if nd.all():
