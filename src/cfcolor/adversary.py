@@ -80,19 +80,29 @@ class Signature:
 def signature_of(
     live: list[Interval], coloring: dict[int, Color], new: Interval
 ) -> Signature:
+    component = _component(live, new)
+    return _signature(component, _ranks(component), coloring, new.id)
+
+
+def _component(live, new: Interval) -> list[Interval]:
+    """new's component among the live intervals and new, by (left, id)."""
     pool = [iv for iv in live if iv.id != new.id] + [new]
-    component = None
     for comp in connected_components(pool):
         if any(iv.id == new.id for iv in comp):
-            component = comp
-            break
-    assert component is not None
-    by_left = sorted(component, key=lambda iv: (iv.left, iv.id))
-    rank = {iv.id: k + 1 for k, iv in enumerate(by_left)}
+            return comp
+    raise AssertionError("the new interval lies in no component")
+
+
+def _ranks(component: list[Interval]) -> dict[int, int]:
+    """1-based positions of a (left, id)-sorted component, by id."""
+    return {iv.id: k + 1 for k, iv in enumerate(component)}
+
+
+def _signature(component, rank, coloring, new_id: int) -> Signature:
     by_right = sorted(component, key=lambda iv: (iv.right, iv.id))
     labels = tuple(rank[iv.id] for iv in by_right)
     colors = tuple(
-        coloring.get(iv.id) if iv.id != new.id else None for iv in by_left
+        coloring.get(iv.id) if iv.id != new_id else None for iv in component
     )
     return Signature(labels, colors)
 
@@ -236,38 +246,33 @@ class _Driver:
         when the engine's coloring went bad."""
         state: ColoringState = self.engine.state
         iv = Interval(next(self.ids), left, right)
-        sig = None
         if self.locality is not None:
-            sig = signature_of(
-                list(state.intervals.values()), state.assignment, iv
-            )
+            # an insert recolors but moves nothing: the component found now
+            # is also the one after the insert
+            component = _component(state.intervals.values(), iv)
+            rank = _ranks(component)
+            sig = _signature(component, rank, state.assignment, iv.id)
         self._events.clear()
         verdict = replay(self.engine, [Insert(iv)], self.audit)
         self.total += 1
         if self.locality is not None:
-            self._note_locality(iv, sig)
+            self._note_locality(iv, sig, rank)
         if not verdict.ok:
             raise _Violation(verdict)
         return iv
 
-    def _note_locality(self, iv: Interval, sig: Signature) -> None:
+    def _note_locality(
+        self, iv: Interval, sig: Signature, rank: dict[int, int]
+    ) -> None:
         # canonicalize the response by component rank so identical
         # signatures from different rounds compare equal
-        component_rank: dict[int, int] = {}
-        state = self.engine.state
-        for c in connected_components(list(state.intervals.values())):
-            if any(x.id == iv.id for x in c):
-                for k, x in enumerate(sorted(c, key=lambda y: (y.left, y.id))):
-                    component_rank[x.id] = k + 1
-                break
         recolors = []
-        final_color = state.color_of(iv.id)
-        comp_ids = set(component_rank)
+        final_color = self.engine.state.color_of(iv.id)
         for iid, color, is_recolor in self._events:
             if is_recolor:
-                if iid not in comp_ids:
+                if iid not in rank:
                     self.locality.outside_recolors.append((iv.id, iid))
-                recolors.append((component_rank.get(iid, -1), color))
+                recolors.append((rank.get(iid, -1), color))
         response = (final_color, tuple(sorted(recolors)))
         self.locality.record(sig, response)
 

@@ -272,15 +272,12 @@ def cmd_verify(args) -> int:
     op_open = False
     last_insert: int | None = None
     op_index = 0
-    recolor_total = 0
-    recolor_cur = 0
-    recolor_max = 0
 
     def fail(lineno: int, message: str) -> _LogMismatch:
         return _LogMismatch(f"line {lineno}: {message}")
 
     def close_op(lineno: int):
-        nonlocal op_open, recolor_cur, recolor_max
+        nonlocal op_open
         if not op_open:
             return None
         # A is accepted only for the op's own insert and R needs a color, so
@@ -288,8 +285,6 @@ def cmd_verify(args) -> int:
         if last_insert is not None and last_insert not in state.assignment:
             raise fail(lineno, f"interval {last_insert} was never assigned a color")
         verdict = is_conflict_free_fast(state.intervals.values(), state.assignment)
-        recolor_max = max(recolor_max, recolor_cur)
-        recolor_cur = 0
         op_open = False
         return verdict if not verdict.ok else None
 
@@ -341,6 +336,7 @@ def cmd_verify(args) -> int:
                     last_insert = None
                 op_index += 1
                 op_open = True
+                state.ledger.begin()
             elif tag == "A":
                 if len(parts) < 3:
                     raise fail(lineno, "expected 'A <id> <color>'")
@@ -364,20 +360,23 @@ def cmd_verify(args) -> int:
                     raise fail(lineno, f"recolor of unknown id {iid}")
                 if iid not in state.assignment:
                     raise fail(lineno, f"recolor of never-colored id {iid}")
-                state.set_color(iid, parse_color(parts, lineno))
-                recolor_total += 1
-                recolor_cur += 1
+                color = parse_color(parts, lineno)
+                if not state.set_color(iid, color):
+                    raise fail(
+                        lineno, f"recolor of {iid} keeps its color {format_color(color)}"
+                    )
             elif tag == "SUMMARY":
                 bad = close_op(lineno)
                 if bad is not None:
                     _report_conflict(bad.witness, bad.gap)
                     return EXIT_VIOLATION
+                ledger = state.ledger
                 measured = {
                     "colors": len(state.colors_seen()),
                     "n": len(state.intervals),
-                    "recolor_total": recolor_total,
-                    "recolor_max": recolor_max,
-                    "max_recolor": recolor_max,
+                    "recolor_total": ledger.total(),
+                    "recolor_max": ledger.max_per_update(),
+                    "max_recolor": ledger.max_per_update(),
                 }
                 for token in parts[1:]:
                     key, eq, value = token.partition("=")

@@ -11,8 +11,11 @@ at most two chain intervals and they disagree.
 An event is two endpoints crossing.  Each event is repaired by adding at
 most one interval to the chain and removing at most two, which costs at
 most three recolorings.  The geometry right before and right after an
-event is probed at midpoints toward the neighboring event times, so the
-decisions never evaluate at the degenerate instant itself.
+event is probed at midpoints toward the previous event time and the
+event's next_time, so the decisions never evaluate at the degenerate
+instant itself.  compute_events finds the events and each one's
+next_time, the first crossing of any kind after it (beyond the horizon
+too), in one pass over the trajectory pairs.
 
 The maintainer keeps its state once, in arrays aligned to the sorted ids:
 the endpoint coefficients (float64, or Fraction objects in exact mode),
@@ -50,7 +53,7 @@ import math
 import random
 from bisect import bisect_right
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -125,16 +128,17 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Event:
-    """For RL kinds, id1 owns the right endpoint and id2 the left one."""
+    """For RL kinds, id1 owns the right endpoint and id2 the left one.
+
+    next_time is the first crossing of any kind strictly after time,
+    beyond the horizon too, or None when there is none.
+    """
 
     time: float
     kind: str
     id1: int
     id2: int
-
-    def sort_key(self):
-        lo, hi = sorted((self.id1, self.id2))
-        return (self.time, lo, hi, self.kind)
+    next_time: float | None = field(default=None, compare=False, repr=False)
 
 
 def _cross_time(c0, cv, d0, dv):
@@ -143,56 +147,55 @@ def _cross_time(c0, cv, d0, dv):
     return (d0 - c0) / (cv - dv)
 
 
-def _crossing_times(trajectories, t0):
-    """Sorted times strictly after t0 where any two endpoints meet.
-
-    Includes crossings beyond any horizon and each trajectory's own
-    left/right inversion time: post-event states are evaluated at a
-    midpoint before the next of these, so the midpoint must never
-    jump past a crossing that was filtered out of the event queue.
-    """
-    times = set()
-    for tr in trajectories:
-        t = _cross_time(tr.a0, tr.va, tr.b0, tr.vb)
-        if t is not None and t > t0:
-            times.add(t)
-    for x, y in itertools.combinations(trajectories, 2):
-        for t in (
-            _cross_time(x.b0, x.vb, y.b0, y.vb),
-            _cross_time(x.a0, x.va, y.a0, y.va),
-            _cross_time(x.b0, x.vb, y.a0, y.va),
-            _cross_time(y.b0, y.vb, x.a0, x.va),
-        ):
-            if t is not None and t > t0:
-                times.add(t)
-    return sorted(times)
+def _rl_kind(rgt, lft):
+    # gap derivative left(lft) - right(rgt); never 0 where they cross
+    return "RL-meet" if lft.va < rgt.vb else "RL-separate"
 
 
 def compute_events(trajectories, t0, until) -> list[Event]:
-    """Every endpoint crossing in (t0, until], sorted and deterministic."""
-    out = []
+    """Every endpoint crossing in (t0, until], sorted and deterministic.
 
-    def consider(t, kind, i1, i2):
-        if t is not None and t0 < t <= until:
-            out.append(Event(t, kind, i1, i2))
-
+    Each event's next_time also counts the crossings that are no events:
+    those beyond the horizon and each trajectory's own left/right
+    inversion, since rounding can put one inside the horizon.  Post-event
+    states are evaluated at a midpoint before next_time, so the midpoint
+    never jumps past a crossing.
+    """
+    found = []
+    beyond = None  # the least pair crossing after the horizon
     for x, y in itertools.combinations(trajectories, 2):
-        consider(
-            _cross_time(x.b0, x.vb, y.b0, y.vb), "RR", min(x.id, y.id), max(x.id, y.id)
-        )
-        consider(
-            _cross_time(x.a0, x.va, y.a0, y.va), "LL", min(x.id, y.id), max(x.id, y.id)
-        )
-        for rgt, lft in ((x, y), (y, x)):
-            t = _cross_time(rgt.b0, rgt.vb, lft.a0, lft.va)
-            if t is None:
-                continue
-            slope = lft.va - rgt.vb  # gap derivative: left(lft) - right(rgt)
-            if slope < 0:
-                consider(t, "RL-meet", rgt.id, lft.id)
-            elif slope > 0:
-                consider(t, "RL-separate", rgt.id, lft.id)
-    out.sort(key=Event.sort_key)
+        lo, hi = (x.id, y.id) if x.id < y.id else (y.id, x.id)
+        for t, kind, i1, i2 in (
+            (_cross_time(x.b0, x.vb, y.b0, y.vb), "RR", lo, hi),
+            (_cross_time(x.a0, x.va, y.a0, y.va), "LL", lo, hi),
+            (_cross_time(x.b0, x.vb, y.a0, y.va), _rl_kind(x, y), x.id, y.id),
+            (_cross_time(y.b0, y.vb, x.a0, x.va), _rl_kind(y, x), y.id, x.id),
+        ):
+            if t is not None and t > t0:
+                if t <= until:
+                    found.append((t, lo, hi, kind, i1, i2))
+                elif beyond is None or t < beyond:
+                    beyond = t
+    # ties in (time, pair, kind) can only come from rounding; they break by
+    # id1, so the order does not depend on the order of the trajectories
+    found.sort()
+    inversions = []  # each trajectory's own left/right crossing after t0
+    for tr in trajectories:
+        t = _cross_time(tr.a0, tr.va, tr.b0, tr.vb)
+        if t is not None and t > t0:
+            inversions.append(t)
+    inversions.sort()
+    out = []
+    nxt, prev = None, beyond  # nxt: the first pair crossing after the current event
+    for t, _, _, kind, i1, i2 in reversed(found):
+        if t != prev:
+            nxt, prev = prev, t
+        j = bisect_right(inversions, t)
+        if j < len(inversions) and (nxt is None or inversions[j] < nxt):
+            out.append(Event(t, kind, i1, i2, inversions[j]))
+        else:
+            out.append(Event(t, kind, i1, i2, nxt))
+    out.reverse()
     return out
 
 
@@ -296,12 +299,6 @@ class KineticMaintainer:
             raise EngineError("coincident endpoints at the start time")
 
         self.events = compute_events(trajectories, t0, until)
-        # time of the next crossing strictly after each event, horizon or not
-        all_times = _crossing_times(trajectories, t0)
-        self._next_time: list = []
-        for ev in self.events:
-            k = bisect_right(all_times, ev.time)
-            self._next_time.append(all_times[k] if k < len(all_times) else None)
         self.cursor = 0
         self.ledger = RecolorLedger()
         self.seen: set[Color] = set()
@@ -435,7 +432,7 @@ class KineticMaintainer:
         if self.cursor >= len(self.events):
             return None
         ev = self.events[self.cursor]
-        nxt = self._next_time[self.cursor]
+        nxt = ev.next_time
         t_before = (self._prev_time + ev.time) / 2
         t_after = (ev.time + nxt) / 2 if nxt is not None else ev.time + self._half
         self.ledger.begin()
@@ -612,7 +609,7 @@ class KineticMaintainer:
     def _delta_applies(self, cert, t) -> bool:
         """Do exactly the crossings of one whole batch lie between cert.t and t?
 
-        Every crossing up to the horizon is an event, and _next_time holds
+        Every crossing up to the horizon is an event, and next_time is
         the next crossing of any kind, so then the endpoint order at t
         differs from the certified one only by that batch's swaps.
         """
@@ -625,7 +622,7 @@ class KineticMaintainer:
         if c1 < len(self.events) and self.events[c1].time == when:
             return False
         before = self.events[c0 - 1].time if c0 else self.t0
-        nxt = self._next_time[c1 - 1]
+        nxt = self.events[c1 - 1].next_time
         return before < cert.t < when < t and (nxt is None or t < nxt)
 
     def _check_invariants_delta(self, t, cert):

@@ -265,6 +265,31 @@ class TestVerify:
         assert code == 2
         assert "unknown id 7" in err
 
+    def test_recolor_that_changes_nothing_is_rejected(self, capsys, tmp_path):
+        log = write(tmp_path, "r.log", "I 0 1 5\nA 0 0 1\nR 0 0 1\n")
+        code, _, err = cli(capsys, "verify", "--log", log)
+        assert code == 2
+        assert err == "verify: line 3: recolor of 0 keeps its color 0 1\n"
+
+    @pytest.mark.parametrize(
+        "summary,bad",
+        [("recolor_total=3 recolor_max=2 max_recolor=2", None),
+         ("recolor_total=2", "recolor_total=2 but replay measured 3"),
+         ("recolor_max=1", "recolor_max=1 but replay measured 2")],
+    )
+    def test_summary_recolor_counts_per_update(self, capsys, tmp_path, summary, bad):
+        log = write(
+            tmp_path, "sum.log",
+            "I 0 1 5\nA 0 0 0\nI 1 2 6\nA 1 0 1\nR 0 0 2\nR 1 0 0\n"
+            f"D 1\nR 0 0 0\nSUMMARY colors=3 n=1 {summary}\n",
+        )
+        code, _, err = cli(capsys, "verify", "--log", log)
+        if bad is None:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 2
+            assert err == f"verify: line 9: summary {bad}\n"
+
     def test_kinetic_records_rejected(self, capsys, tmp_path):
         log = write(tmp_path, "e.log", "E 1 RR 0 1\n")
         code, _, err = cli(capsys, "verify", "--log", log)

@@ -1,6 +1,8 @@
 """Event-driven chain maintenance under linear endpoint motion."""
 
+import itertools
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import numpy as np
@@ -397,6 +399,88 @@ class TestExactMode:
         ]
         assert kf.colors == ke.colors
         assert kf.chain == ke.chain
+
+
+def _next_crossings(trajectories, t0, events):
+    """Brute-force next_time: every time after t0 where two endpoints meet,
+    of two trajectories or of one, horizon or not, sorted into one list and
+    bisected once per event."""
+
+    def meet(c0, cv, d0, dv):
+        return None if cv == dv else (d0 - c0) / (cv - dv)
+
+    times = {meet(tr.a0, tr.va, tr.b0, tr.vb) for tr in trajectories}
+    for x, y in itertools.combinations(trajectories, 2):
+        times |= {
+            meet(x.b0, x.vb, y.b0, y.vb),
+            meet(x.a0, x.va, y.a0, y.va),
+            meet(x.b0, x.vb, y.a0, y.va),
+            meet(y.b0, y.vb, x.a0, x.va),
+        }
+    times = sorted(t for t in times if t is not None and t > t0)
+    out = []
+    for ev in events:
+        k = bisect_right(times, ev.time)
+        out.append(times[k] if k < len(times) else None)
+    return out
+
+
+class TestNextTime:
+    def _check(self, trajs, until):
+        """Each event's next_time against the oracle, in both modes; returns
+        the float mode's events."""
+        for exact in (True, False):
+            km = KineticMaintainer(trajs, 0.0, until, exact=exact)
+            expect = _next_crossings(list(km.trajs.values()), km.t0, km.events)
+            got = [ev.next_time for ev in km.events]
+            assert got == expect
+            assert all(type(g) is type(e) for g, e in zip(got, expect))
+            assert km.events == compute_events(
+                list(km.trajs.values()), km.t0, km.until
+            )
+        return km.events
+
+    def test_matches_the_brute_force_oracle(self):
+        rng = random.Random(31)
+        scenarios = [(random_scenario(rng, rng.randint(2, 25)), 10.0) for _ in range(8)]
+        scenarios += [(_grid_scenario(rng, rng.randint(2, 20)), 6.0) for _ in range(8)]
+        scenarios += [lowerbound_scenario(n) for n in (1, 2, 3)]
+        shared = 0
+        for trajs, until in scenarios:
+            events = self._check(trajs, until)
+            shared += len(events) - len({ev.time for ev in events})
+        assert shared > 50  # batches of simultaneous crossings were covered
+
+    def test_last_event_at_the_horizon_points_past_it(self):
+        a = still(0, 0, 2)
+        b = Trajectory(1, 3, -1.0, 5, -1.0)
+        events = self._check([a, b], 3.0)
+        assert [(e.time, e.kind) for e in events] == [
+            (1.0, "RL-meet"), (3.0, "LL"), (3.0, "RR")
+        ]
+        assert [e.next_time for e in events] == [3.0, 5.0, 5.0]
+
+    def test_no_later_crossing_is_none(self):
+        a = still(0, 0, 2)
+        b = Trajectory(1, 3, -1.0, 5, -1.0)
+        events = self._check([a, b], 100.0)
+        assert [e.next_time for e in events] == [3.0, 5.0, 5.0, None]
+
+    def test_an_inversion_beyond_the_horizon_counts(self):
+        # interval 0 pinches at t = 1.75, before the next pair crossing at 2
+        pinch = Trajectory(0, 10, 0.0, 11.75, -1.0)
+        a = still(1, 0, 1)
+        c = Trajectory(2, 2, -1.0, 3, -1.0)
+        events = self._check([pinch, a, c], 1.5)
+        assert [(e.time, e.kind, e.next_time) for e in events] == [
+            (1.0, "RL-meet", 1.75)
+        ]
+
+    def test_next_time_is_left_out_of_equality_and_repr(self):
+        ev = compute_events([still(0, 0, 2), Trajectory(1, 3, -1.0, 5, -1.0)], 0, 2)[0]
+        assert ev.next_time == 3.0
+        assert ev == type(ev)(ev.time, ev.kind, ev.id1, ev.id2)
+        assert "next_time" not in repr(ev)
 
 
 class TestGadget:

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from cfcolor.cli import main
 from cfcolor.core import Delete, Insert, Interval, format_trace
+from cfcolor.kinetic import Trajectory, format_scenario, random_scenario
 
 from helpers import random_ops
 
@@ -61,12 +62,28 @@ def _long_overlap_trace() -> str:
     return format_trace(ops)
 
 
+def _grid_scenario() -> str:
+    """Rigid intervals on integer endpoints and speeds: 30 crossings in
+    batches of up to six sharing one time, 8 recolorings."""
+    rng = random.Random(13)
+    n = 16
+    ends = rng.sample(range(4 * n), 2 * n)
+    trajs = []
+    for i in range(n):
+        a, b = sorted(ends[2 * i : 2 * i + 2])
+        v = rng.choice((-1, 0, 0, 1))
+        trajs.append(Trajectory(i, a, v, b, v))
+    return format_scenario(trajs)
+
+
 def artifacts(tmp_path: Path) -> dict[str, str]:
     traces = {
         "random": _cli(tmp_path, "random.trace", "gen", "random", "--n", "800", "--seed", "7"),
         "bounded": _cli(tmp_path, "bounded.trace", "gen", "bounded-length",
                         "--n", "800", "--seed", "7", "--L", "8"),
         "kinetic": _cli(tmp_path, "kinetic.scn", "gen", "kinetic-lb", "--n", "2"),
+        "kinetic-random": format_scenario(random_scenario(random.Random(5), 30)),
+        "kinetic-grid": _grid_scenario(),
         "integer": _integer_trace(),
         "long": _long_overlap_trace(),
     }
@@ -89,11 +106,13 @@ def artifacts(tmp_path: Path) -> dict[str, str]:
         tmp_path, "adv.log", "adversary", "--kind", "local", "--n", "64",
         "--engine", "dynamic:t=2")
     horizon = traces["kinetic"].splitlines()[0].split()[-1]
-    for label, extra in (("kinetic lb n=2 audit=every", ()),
-                         ("kinetic lb n=2 audit=every exact", ("--exact",))):
-        out[label] = _cli(
-            tmp_path, "kinetic.log", "kinetic", "--scenario", str(paths["kinetic"]),
-            "--until", horizon, "--audit", "every", *extra)
+    for name, kind, until in (("lb n=2", "kinetic", horizon),
+                              ("random n=30", "kinetic-random", "10"),
+                              ("grid n=16", "kinetic-grid", "6")):
+        for suffix, extra in (("", ()), (" exact", ("--exact",))):
+            out[f"kinetic {name} audit=every{suffix}"] = _cli(
+                tmp_path, "kinetic.log", "kinetic", "--scenario", str(paths[kind]),
+                "--until", until, "--audit", "every", *extra)
     out["bench"] = _cli(
         tmp_path, "bench.csv", "bench", "--method", "dynamic:t=2",
         "--method", "fixed-distinct:U=128", "--method", "fixed-chain:U=128,t=3",
