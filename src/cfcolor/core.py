@@ -200,7 +200,7 @@ class RecolorLedger:
 # A patch costs about what a rebuild costs once a quarter of the live ids
 # are marked.  So the marks go into a queue bounded by that share of the
 # live count at the last fast audit (plus a floor for small states); when
-# it fills, the next fast audit rebuilds the columns instead.  The bound
+# it fills, the next fast audit rebuilds the cache instead.  The bound
 # also holds when a run audits only once, and costs the writers no check.
 _MARK_SHARE = 4
 _MARK_FLOOR = 64
@@ -209,7 +209,7 @@ _MARK_FLOOR = 64
 class _Live(dict):
     """Live intervals by id; values() is a view that names the owning state.
 
-    is_conflict_free_fast takes the state's column cache when it is handed
+    is_conflict_free_fast takes the state's audit cache when it is handed
     this view together with the same state's assignment.
     """
 
@@ -240,8 +240,8 @@ class ColoringState:
 
     intervals and assignment are read-only views; add(), remove() and
     set_color() are the only writers.  Once a fast audit has built the
-    column cache, each writer marks its id, and the next audit patches the
-    cache from the marked ids.
+    audit cache, each writer marks its id with the row it had, and the next
+    audit patches the cache from the marks.
     """
 
     def __init__(self):
@@ -254,11 +254,15 @@ class ColoringState:
         self.ledger = RecolorLedger()
         self.seen: set[Color] = set()
         self.on_assign: Callable[[int, Color, bool], None] | None = None
-        # (id, left, right, level, index) arrays, rows in no order, and the
-        # ids written since they were last brought up to date; both None
-        # until the first fast audit
+        # The audit cache, split by color, and the marks since it was last
+        # brought up to date; all None until the first fast audit.  _cols
+        # holds the non-dummy rows as (id, left, right, level, index) arrays
+        # in no order, _ends the dummy rows' lefts and rights, each sorted.
+        # A mark is (id, interval, color) as they were before the write, so
+        # an id's first mark since the last audit holds its cached row.
         self._cols: list[np.ndarray] | None = None
-        self._marked: deque[int] | None = None
+        self._ends: tuple[np.ndarray, np.ndarray] | None = None
+        self._marked: deque[tuple] | None = None
 
     @property
     def n(self) -> int:
@@ -271,8 +275,8 @@ class ColoringState:
             raise EngineError(f"duplicate insert id {interval.id}")
         live[interval.id] = interval
         marked = self._marked
-        if marked is not None:  # one append while a column cache exists
-            marked.append(interval.id)
+        if marked is not None:  # one append while a cache exists
+            marked.append((interval.id, None, None))
 
     def begin_insert(self, interval: Interval) -> None:
         """Open an insert: add() the interval, then begin its ledger record.
@@ -299,10 +303,10 @@ class ColoringState:
         interval = self._live.pop(interval_id, None)
         if interval is None:
             raise EngineError(f"delete of unknown id {interval_id}")
-        self._colors.pop(interval_id, None)
+        color = self._colors.pop(interval_id, None)
         marked = self._marked
         if marked is not None:
-            marked.append(interval_id)
+            marked.append((interval_id, interval, color))
         return interval
 
     def set_color(self, interval_id: int, color: Color, rebuild: bool = False) -> bool:
@@ -318,7 +322,7 @@ class ColoringState:
         self.seen.add(color)
         marked = self._marked
         if marked is not None:
-            marked.append(interval_id)
+            marked.append((interval_id, self._live[interval_id], old))
         is_recolor = old is not None
         if is_recolor:
             self.ledger.note(rebuild)
@@ -326,50 +330,75 @@ class ColoringState:
             self.on_assign(interval_id, color, is_recolor)
         return True
 
-    def _columns(self) -> list[np.ndarray]:
-        """(left, right, level, index) arrays over the live intervals.
+    def _columns(self):
+        """The audit cache, brought up to date: the non-dummy rows' left,
+        right, level and index arrays, then the dummy rows' lefts and
+        rights, each sorted.
 
         The first call builds the cache, and so does a call after the marks
-        filled their bounded queue.  Other calls drop the rows of every
-        marked id and append fresh rows for those still live, which also
-        covers an id reused with new endpoints.  Raises ValueError, and
-        leaves the cache as it was, when a live interval has no color.
+        filled their bounded queue.  Other calls patch it from the marks:
+        they drop the non-dummy rows of every marked id, take the cached
+        dummy ends of the marked ids out of the sorted ends, and add fresh
+        rows for the marked ids still live, which also covers an id reused
+        with new endpoints.  Raises ValueError, and leaves the cache and
+        the marks as they were, when a live interval has no color.  Raises
+        OverflowError when an id or a color does not fit an int64, or an
+        endpoint is no float64 (_arrays).
         """
-        cols, marked = self._cols, self._marked
-        live = self._live
-        if cols is None or len(marked) == marked.maxlen:
-            cols = self._rows(list(live), list(dict.values(live)))
+        marked, live = self._marked, self._live
+        if self._cols is None or len(marked) == marked.maxlen:
+            self._cols, lefts, rights = self._rows(list(live), list(dict.values(live)))
+            self._ends = np.sort(lefts), np.sort(rights)
         elif marked:
-            m = _distinct(np.fromiter(marked, np.int64, len(marked)))
-            at = m.searchsorted(cols[0])
-            np.minimum(at, m.size - 1, out=at)
-            keep = m[at] != cols[0]
-            fresh = [i for i in m.tolist() if i in live]
-            fresh = self._rows(fresh, [live[i] for i in fresh])
-            # column by column, so that the old and the new cache are never
-            # held whole together; unset meanwhile, so that a failure half
-            # way leaves no cache rather than a torn one
-            self._cols = None
-            for k, f in enumerate(fresh):
-                cols[k] = np.concatenate((cols[k][keep], f))
-        self._cols = cols
+            self._patch(marked)
         self._marked = deque(maxlen=len(live) // _MARK_SHARE + _MARK_FLOOR)
-        return cols[1:]
+        return (*self._cols[1:], *self._ends)
 
-    def _rows(self, ids: list[int], ivs: list[Interval]) -> list[np.ndarray]:
+    def _patch(self, marked: deque[tuple]) -> None:
+        """Bring the cache up to date from the marks, as _columns says.
+
+        An id's first mark since the last audit holds its row as the cache
+        has it: the ends of a dummy row to take out of the sorted ends.
+        Non-dummy rows are found by their id.
+        """
+        live = self._live
+        first = {mark[0]: mark for mark in reversed(marked)}
+        fresh = [i for i in first if i in live]
+        fresh, fresh_lefts, fresh_rights = self._rows(fresh, [live[i] for i in fresh])
+        gone = [iv for _, iv, color in first.values() if iv is not None and color.level < 0]
+        m = np.fromiter(first, np.int64, len(first))
+        m.sort()
+        # nothing below raises: a raise above leaves the cache as it was
+        cols = self._cols
+        at = m.searchsorted(cols[0])
+        np.minimum(at, m.size - 1, out=at)
+        keep = m[at] != cols[0]
+        lefts, rights = self._ends
+        self._cols = [np.concatenate((c[keep], f)) for c, f in zip(cols, fresh)]
+        self._ends = (
+            _resorted(lefts, np.fromiter(map(_LEFT, gone), np.float64, len(gone)), fresh_lefts),
+            _resorted(rights, np.fromiter(map(_RIGHT, gone), np.float64, len(gone)), fresh_rights),
+        )
+
+    def _rows(self, ids: list[int], ivs: list[Interval]):
+        """The rows of ids: the non-dummy ones as (id, left, right, level,
+        index) arrays, then the dummy ones' lefts and their rights."""
         try:
-            cols = [self._colors[i] for i in ids]
+            colors = [self._colors[i] for i in ids]
         except KeyError:
             _missing_colors(ivs, self._colors)
             raise
-        n = len(ids)
-        return [
-            np.fromiter(ids, np.int64, n),
-            np.fromiter(map(_LEFT, ivs), np.float64, n),
-            np.fromiter(map(_RIGHT, ivs), np.float64, n),
-            np.fromiter(map(_LEVEL, cols), np.int64, n),
-            np.fromiter(map(_INDEX, cols), np.int64, n),
-        ]
+        lefts, rights, levels, indices = _arrays(ivs, colors)
+        cols = [np.fromiter(ids, np.int64, len(ids)), lefts, rights, levels, indices]
+        keep = levels >= 0
+        if keep.all():
+            return cols, _NO_ENDS, _NO_ENDS
+        drop = ~keep
+        return [c[keep] for c in cols], lefts[drop], rights[drop]
+
+    def _drop_cache(self) -> None:
+        """Forget the audit cache; the next fast audit builds it afresh."""
+        self._cols = self._ends = self._marked = None
 
     def colors_in_use(self, include_dummy: bool = True) -> set[Color]:
         used = set(self._colors.values())
@@ -509,39 +538,75 @@ def is_conflict_free_fast(
     """Vectorized variant of is_conflict_free; same verdicts and witnesses.
 
     Handed a ColoringState's own state.intervals.values() together with
-    the same state's assignment, it reads the state's column cache: built
-    on the first such call, then patched from the ids written since the
-    last one.  Any other input (a list, another mapping's values, a
-    snapshot) has its arrays built from the objects, each interval's color
-    looked up once.  Both paths then take _cf_over_colors: the intervals
-    wearing the dummy color are folded into the segments of their union,
-    and only the others' colors are coded, without hashing Color objects.
-    O(n log n) for n intervals, whatever the palette size, and the sort
-    behind the sweep is over the non-dummy intervals and the segments
-    only.  Intended for tight audit loops; agreement with the sweep
-    version, witness and gap included, is tested.
+    the same state's assignment, it reads the state's audit cache: built
+    on the first such call, then patched from the writes since the last
+    one.  The cache keeps the intervals wearing a dummy color only as
+    their sorted ends, and codes the others' colors on each call
+    (_rank_codes), without hashing Color objects.  Any other input (a
+    list, another mapping's values, a snapshot) has its arrays built from
+    the objects, each interval's color looked up once, and split the same
+    way (_cf_over_colors).  Both paths end in _cf_folded, which folds the
+    dummy ends into the segments of their union: O(n log n) for n
+    intervals, whatever the palette size, and the sort behind the sweep is
+    over the non-dummy intervals and the segments only.  An endpoint
+    beyond 2**53 that float64 does not hold, such as an integer that
+    rounds, sends the call to the exact sweep is_conflict_free.  Intended
+    for tight audit loops; agreement with the sweep version, witness and
+    gap included, is tested.
     """
     if type(intervals) is _LiveValues:
         state = intervals._mapping.owner()
         if state is not None and assignment is state.assignment:
             try:
-                return _cf_over_colors(*state._columns())
+                lefts, rights, levels, indices, dummy_lefts, dummy_rights = state._columns()
             except OverflowError:
-                # an id beyond int64 has no row; the object path takes the
-                # state, and raises as before if an endpoint overflows too
-                state._cols = state._marked = None
+                # an id, color or endpoint the arrays cannot hold has no
+                # row; the object path takes the state
+                state._drop_cache()
+            else:
+                codes = _rank_codes(levels, indices)
+                return _cf_folded(lefts, rights, codes, dummy_lefts, dummy_rights)
     ivs = list(intervals)
-    n = len(ivs)
     try:
         cols = [assignment[iv.id] for iv in ivs]
     except KeyError:
         _missing_colors(ivs, assignment)
         raise
-    return _cf_over_colors(
-        np.fromiter(map(_LEFT, ivs), np.float64, n),
-        np.fromiter(map(_RIGHT, ivs), np.float64, n),
-        np.fromiter(map(_LEVEL, cols), np.int64, n),
-        np.fromiter(map(_INDEX, cols), np.int64, n),
+    try:
+        arrays = _arrays(ivs, cols)
+    except OverflowError:
+        return is_conflict_free(ivs, assignment)
+    return _cf_over_colors(*arrays)
+
+
+# Every integer of magnitude up to 2**53 is a float64, and a float64
+# endpoint converts to itself, so an int or float endpoint that its
+# float64 misstates lies beyond this.
+_EXACT = 2.0**53
+
+
+def _arrays(ivs: list[Interval], colors: list[Color]):
+    """float64 left and right, int64 level and index arrays of the rows.
+
+    Raises OverflowError when a value does not fit its array, or when an
+    endpoint beyond 2**53 is not exactly its float64: two such integers
+    can round onto one float and make disjoint intervals overlap.
+    """
+    n = len(ivs)
+    lefts = np.fromiter(map(_LEFT, ivs), np.float64, n)
+    rights = np.fromiter(map(_RIGHT, ivs), np.float64, n)
+    # lefts <= rights, so a row has an end beyond _EXACT exactly when
+    # one of these holds
+    big = ((lefts <= -_EXACT) | (rights >= _EXACT)).nonzero()[0]
+    for i in big.tolist():
+        iv = ivs[i]
+        if iv.left != lefts.item(i) or iv.right != rights.item(i):
+            raise OverflowError(f"interval {iv.id}: an endpoint is not a float64")
+    return (
+        lefts,
+        rights,
+        np.fromiter(map(_LEVEL, colors), np.int64, n),
+        np.fromiter(map(_INDEX, colors), np.int64, n),
     )
 
 
@@ -549,36 +614,59 @@ def is_conflict_free_fast(
 _NO_ENDS = np.empty(0)
 
 
+def _resorted(ends, gone, new):
+    """Sorted ends less one occurrence of each value in gone, plus new.
+
+    gone holds values of ends.  Its equal values, -0.0 and 0.0 alike, take
+    consecutive occurrences in ends: the k-th of a run is found k places
+    after the first.
+    """
+    if gone.size:
+        gone.sort()
+        at = ends.searchsorted(gone) + np.arange(gone.size) - gone.searchsorted(gone)
+        ends = np.delete(ends, at)
+    if new.size:
+        new = np.sort(new)
+        ends = np.insert(ends, ends.searchsorted(new), new)
+    return ends
+
+
 def _cf_over_colors(lefts, rights, levels, indices) -> Verdict:
     """Conflict-freeness over parallel endpoint and level/index arrays.
 
-    A row with level < 0 wears a dummy color: only its endpoints go on, to
-    _cf_folded's dummy union.  The other rows' colors are coded without
-    hashing Color objects: levels and indices are rank-compressed and the
-    two ranks packed into one code.
+    A row with level < 0 wears a dummy color: only its endpoints go on,
+    sorted, to _cf_folded's dummy union.  The other rows' colors are coded
+    by _rank_codes.
     """
-    n = lefts.size
-    if not n:
-        return Verdict(True)
     keep = levels >= 0
     if keep.all():
-        dummy_lefts = dummy_rights = _NO_ENDS
-    else:
-        drop = ~keep
-        dummy_lefts, dummy_rights = np.sort(lefts[drop]), np.sort(rights[drop])
-        lefts, rights, levels, indices = lefts[keep], rights[keep], levels[keep], indices[keep]
-        n = lefts.size
-        if not n:  # all dummy: no colors to code
-            return _cf_folded(lefts, rights, levels, dummy_lefts, dummy_rights)
-    # Levels and indices share one rank space, so a packed pair of ranks is
-    # below (2n)^2 and cannot overflow.  A palette has few distinct values:
-    # searchsorted into them beats the argsort behind return_inverse.
+        return _cf_folded(lefts, rights, _rank_codes(levels, indices), _NO_ENDS, _NO_ENDS)
+    drop = ~keep
+    return _cf_folded(
+        lefts[keep],
+        rights[keep],
+        _rank_codes(levels[keep], indices[keep]),
+        np.sort(lefts[drop]),
+        np.sort(rights[drop]),
+    )
+
+
+def _rank_codes(levels, indices):
+    """Codes 0, 1, ... of (level, index) pairs, equal where the pairs are.
+
+    Levels and indices are rank-compressed in one rank space, so a packed
+    pair of ranks is below (2n)^2 and cannot overflow.  A palette has few
+    distinct values: searchsorted into them beats the argsort behind
+    return_inverse.
+    """
+    n = levels.size
+    if not n:
+        return levels
     pairs = np.concatenate((levels, indices))
     values = _distinct(pairs)
     ranks = values.searchsorted(pairs)
     codes = ranks[:n] * values.size + ranks[n:]
-    codes = _distinct(codes).searchsorted(codes)
-    return _cf_folded(lefts, rights, codes, dummy_lefts, dummy_rights)
+    return _distinct(codes).searchsorted(codes)
 
 
 def _distinct(a):

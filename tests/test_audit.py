@@ -38,11 +38,11 @@ def plant_color(state, iid, color):
     """Recolor iid behind set_color's back: no ledger record, no hook.
 
     The state's mappings are read-only, so the fault goes into its private
-    dict.  Dropping the column cache makes the next fast audit rebuild it
+    dict.  Dropping the audit cache makes the next fast audit rebuild it
     from the objects, so that audit sees the planted color too.
     """
     state._colors[iid] = color
-    state._cols = state._marked = None
+    state._drop_cache()
 
 
 def colored_extreme(eng):

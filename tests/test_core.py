@@ -357,6 +357,39 @@ class TestNearFloatLimit:
         assert pts[6] == pytest.approx(1.725e308)
 
 
+class TestBeyondFloat64:
+    """Endpoints that are no float64 take the exact sweep in the fast oracle."""
+
+    def test_integers_that_round_together_stay_apart(self):
+        # 2**53 + 1 rounds onto 2**53, where the two would overlap as floats
+        ivs = [Interval(0, 0, 2**53), Interval(1, 2**53 + 1, 2**54)]
+        assignment = {0: RED, 1: RED}
+        assert is_conflict_free(ivs, assignment) == Verdict(True)
+        assert is_conflict_free_fast(ivs, assignment) == Verdict(True)
+
+    def test_witness_keeps_the_integer(self):
+        ivs = [Interval(0, 0, 2**53 + 1), Interval(1, 2**53 + 1, 2**54), Interval(2, 2**54, 2**55)]
+        assignment = {0: RED, 1: RED, 2: BLUE}
+        slow = is_conflict_free(ivs, assignment)
+        assert slow == Verdict(False, 2**53 + 1)
+        fast = is_conflict_free_fast(ivs, assignment)
+        assert fast == slow and type(fast.witness) is int
+
+    def test_integer_beyond_the_float_range(self):
+        ivs = [Interval(0, 0, 10**400), Interval(1, 1, 2)]
+        for colors, ok in (((RED, RED), False), ((RED, BLUE), True)):
+            assignment = dict(enumerate(colors))
+            assert is_conflict_free(ivs, assignment).ok == ok
+            assert is_conflict_free_fast(ivs, assignment) == is_conflict_free(ivs, assignment)
+
+    def test_large_values_that_are_floats_agree(self):
+        # beyond 2**53 but exact: 2**60 + 2**8 is a float64
+        ivs = [Interval(0, 2**60, 2**60 + 2**8), Interval(1, 2.0**60 + 2**8, 2**61)]
+        for colors in ((RED, RED), (RED, BLUE)):
+            assignment = dict(enumerate(colors))
+            assert is_conflict_free_fast(ivs, assignment) == is_conflict_free(ivs, assignment)
+
+
 class TestLedgerAndState:
     def test_initial_color_is_free(self):
         st_ = ColoringState()

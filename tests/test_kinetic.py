@@ -23,6 +23,7 @@ from cfcolor.kinetic import (
     CHAIN_PALETTE,
     GADGET_REGIONS,
     GADGET_SHAPE,
+    Event,
     KineticMaintainer,
     Trajectory,
     compute_events,
@@ -70,6 +71,19 @@ class TestEventComputation:
         a = Trajectory(0, 0, 1.0, 2, 1.0)
         b = Trajectory(1, 5, 1.0, 7, 1.0)
         assert compute_events([a, b], 0.0, 1e6) == []
+
+    def test_event_is_slotted_and_compares_without_next_time(self):
+        ev = compute_events([still(0, 0, 2), Trajectory(1, 3, -1.0, 5, -1.0)], 0.0, 2.0)[0]
+        assert not hasattr(ev, "__dict__")
+        assert ev == Event(1.0, "RL-meet", 0, 1) == Event(1.0, "RL-meet", 0, 1, 7.0)
+        assert ev != Event(1.0, "RL-meet", 1, 0)
+        assert hash(ev) == hash(Event(1.0, "RL-meet", 0, 1, 7.0))
+        assert repr(ev) == "Event(time=1.0, kind='RL-meet', id1=0, id2=1)"
+        # the next crossing is LL at 3, beyond the horizon 2
+        assert ev.next_time == 3.0
+        assert Event(1.0, "RL-meet", 0, 1).next_time is None
+        with pytest.raises(AttributeError):
+            ev.next_time = 2.0
 
 
 class TestMaintainerInit:

@@ -1,13 +1,14 @@
-"""The fast oracle's column cache in ColoringState, against the object paths.
+"""The fast oracle's audit cache in ColoringState, against the object paths.
 
-is_conflict_free_fast reads a state's column cache when it is handed the
+is_conflict_free_fast reads a state's audit cache when it is handed the
 state's own intervals view and assignment.  A seeded op stream drives a
 ColoringState directly; after each stretch of adds (fresh ids, or removed
 ids reused with new endpoints), removes and set_color calls, three oracles
 must agree: the cache path, the same call on a list of the live intervals
 (arrays built from the objects) and the sweep is_conflict_free.  They agree
 on ok, witness and gap, or raise the same ValueError when a live interval
-has no color.
+has no color.  After each audit the cache must hold exactly the live rows:
+the non-dummy ones as rows, the dummy ones as their sorted ends.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from cfcolor.core import (
@@ -32,7 +34,9 @@ from cfcolor.methods import build_engine
 
 from helpers import random_ops
 
-PALETTE = [DUMMY, Color(0, 0), Color(0, 1), Color(1, 0), Color(1, 1)]
+# two dummy colors: any negative level wears the dummy
+SECOND_DUMMY = Color(-2, 3)
+PALETTE = [DUMMY, SECOND_DUMMY, Color(0, 0), Color(0, 1), Color(1, 0), Color(1, 1)]
 
 
 def outcomes(state):
@@ -52,15 +56,55 @@ def outcomes(state):
     return out
 
 
+def check_cache(state):
+    """The cache, just audited, holds exactly the live rows."""
+    live = [(iv, state.color_of(iid)) for iid, iv in state.intervals.items()]
+    rows = sorted(zip(*(c.tolist() for c in state._cols)))
+    assert rows == sorted(
+        (iv.id, iv.left, iv.right, c.level, c.index) for iv, c in live if c.level >= 0
+    )
+    dummy = [iv for iv, c in live if c.level < 0]
+    lefts, rights = state._ends
+    assert np.array_equal(lefts, np.sort(np.array([iv.left for iv in dummy], dtype=float)))
+    assert np.array_equal(rights, np.sort(np.array([iv.right for iv in dummy], dtype=float)))
+
+
 def _interval(rng, iid):
-    a, b = sorted(rng.sample(range(24), 2))
-    return Interval(iid, a / 2.0, b / 2.0)
+    # halves in [-3, 9): ends are often shared, and 0 is also written -0.0
+    a, b = (x / 2.0 for x in sorted(rng.sample(range(-6, 18), 2)))
+    if rng.random() < 0.5:
+        a, b = (-0.0 if x == 0 else x for x in (a, b))
+    return Interval(iid, a, b)
+
+
+def _count_audit(state, last: dict, seen: Counter) -> None:
+    """Tally the cases the audit met, against the rows at the last one."""
+    now = {iid: (iv, state.color_of(iid)) for iid, iv in state.intervals.items()}
+    for iid, (iv, color) in now.items():
+        if iid in last:
+            old_iv, old_color = last[iid]
+            if old_color.is_dummy() != color.is_dummy():
+                seen["flip"] += 1
+            elif color.is_dummy() and (old_iv.left, old_iv.right) != (iv.left, iv.right):
+                seen["dummy re-added"] += 1
+    if any(c == SECOND_DUMMY for _, c in now.values()):
+        seen["second dummy"] += 1
+    lefts, rights = state._ends
+    for ends in (lefts, rights):
+        if ends.size > 1 and (ends[1:] == ends[:-1]).any():
+            seen["shared dummy ends"] += 1
+        zero = ends[ends == 0]
+        if np.signbit(zero).any() and not np.signbit(zero).all():
+            seen["dummy -0.0 and 0.0"] += 1
+    last.clear()
+    last.update(now)
 
 
 def _lockstep(seed: int, audits: int, seen: Counter) -> None:
     rng = random.Random(seed)
     state = ColoringState()
     dead: list[int] = []
+    last: dict = {}  # id -> (interval, color) at the last audit
     next_id = 0
     for _ in range(audits):
         # mostly short stretches (the patch path), sometimes long enough
@@ -68,7 +112,7 @@ def _lockstep(seed: int, audits: int, seen: Counter) -> None:
         for _ in range(rng.choice((1, 3, 8, 20, 150))):
             live = list(state.intervals)
             roll = rng.random()
-            if roll < 0.4 or not live:
+            if roll < 0.35 or not live:
                 if dead and rng.random() < 0.4:
                     iid = dead.pop(rng.randrange(len(dead)))
                     seen["reuse"] += 1
@@ -77,6 +121,12 @@ def _lockstep(seed: int, audits: int, seen: Counter) -> None:
                 state.add(_interval(rng, iid))
                 if rng.random() < 0.95:
                     state.set_color(iid, rng.choice(PALETTE))
+            elif roll < 0.45:
+                # the same id again, with new ends and mostly a dummy color
+                iid = rng.choice(live)
+                state.remove(iid)
+                state.add(_interval(rng, iid))
+                state.set_color(iid, rng.choice(PALETTE[:2] * 2 + PALETTE))
             elif roll < 0.7:
                 iid = rng.choice(live)
                 state.remove(iid)
@@ -108,9 +158,11 @@ def _lockstep(seed: int, audits: int, seen: Counter) -> None:
                     state.set_color(iid, rng.choice(PALETTE))
             fast, listed, sweep = outcomes(state)
             assert fast == listed == sweep, (seed, seen["audits"])
-        elif not state.intervals:
+        check_cache(state)
+        _count_audit(state, last, seen)
+        if not state.intervals:
             seen["empty"] += 1
-        elif all(c is DUMMY for c in state.assignment.values()):
+        elif all(c.is_dummy() for c in state.assignment.values()):
             seen["all dummy"] += 1
         elif not sweep[0]:
             seen["conflict"] += 1
@@ -121,7 +173,9 @@ def test_cache_list_and_sweep_oracles_agree():
     for seed in range(6):
         _lockstep(seed, 300, seen)
     floors = {"patch": 500, "rebuild": 30, "reuse": 300, "uncolored": 30,
-              "empty": 5, "all dummy": 5, "conflict": 300}
+              "empty": 5, "all dummy": 5, "conflict": 300, "flip": 700,
+              "dummy re-added": 90, "second dummy": 600,
+              "shared dummy ends": 700, "dummy -0.0 and 0.0": 40}
     assert all(seen[k] >= v for k, v in floors.items()), seen
 
 
@@ -189,3 +243,26 @@ def test_an_id_beyond_int64_takes_the_object_path():
 def test_a_view_outliving_its_state_is_read_as_a_sequence():
     values = ColoringState().intervals.values()
     assert is_conflict_free_fast(values, {}).ok
+
+
+def test_endpoints_beyond_float_precision_take_the_sweep():
+    state = ColoringState()
+    state.add(Interval(0, 0, 2**53))
+    state.set_color(0, Color(0, 0))
+    assert outcomes(state) == [(True, None, None)] * 3
+    # the patch meets 2**53 + 1, which rounds onto 2**53: no cache, the sweep
+    state.add(Interval(1, 2**53 + 1, 2**54))
+    state.set_color(1, Color(0, 0))
+    assert outcomes(state) == [(True, None, None)] * 3
+    assert state._cols is None
+    # a build meets it too; the sweep keeps the integer witness
+    state.add(Interval(2, 2**54, 2**55))
+    state.set_color(2, Color(0, 0))
+    assert outcomes(state) == [(False, 2**54, None)] * 3
+    assert type(is_conflict_free_fast(state.intervals.values(), state.assignment).witness) is int
+    assert state._cols is None
+    state.remove(1)
+    state.remove(2)
+    assert outcomes(state) == [(True, None, None)] * 3
+    assert state._cols is not None
+    check_cache(state)
