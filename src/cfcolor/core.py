@@ -343,11 +343,11 @@ class ColoringState:
         with new endpoints.  Raises ValueError, and leaves the cache and
         the marks as they were, when a live interval has no color.  Raises
         OverflowError when an id or a color does not fit an int64, or an
-        endpoint is no float64 (_arrays).
+        endpoint is no float64 (_rows).
         """
         marked, live = self._marked, self._live
         if self._cols is None or len(marked) == marked.maxlen:
-            self._cols, lefts, rights = self._rows(list(live), list(dict.values(live)))
+            self._cols, lefts, rights = _rows(list(live), list(dict.values(live)), self._colors)
             self._ends = np.sort(lefts), np.sort(rights)
         elif marked:
             self._patch(marked)
@@ -364,7 +364,7 @@ class ColoringState:
         live = self._live
         first = {mark[0]: mark for mark in reversed(marked)}
         fresh = [i for i in first if i in live]
-        fresh, fresh_lefts, fresh_rights = self._rows(fresh, [live[i] for i in fresh])
+        fresh, fresh_lefts, fresh_rights = _rows(fresh, [live[i] for i in fresh], self._colors)
         gone = [iv for _, iv, color in first.values() if iv is not None and color.level < 0]
         m = np.fromiter(first, np.int64, len(first))
         m.sort()
@@ -379,22 +379,6 @@ class ColoringState:
             _resorted(lefts, np.fromiter(map(_LEFT, gone), np.float64, len(gone)), fresh_lefts),
             _resorted(rights, np.fromiter(map(_RIGHT, gone), np.float64, len(gone)), fresh_rights),
         )
-
-    def _rows(self, ids: list[int], ivs: list[Interval]):
-        """The rows of ids: the non-dummy ones as (id, left, right, level,
-        index) arrays, then the dummy ones' lefts and their rights."""
-        try:
-            colors = [self._colors[i] for i in ids]
-        except KeyError:
-            _missing_colors(ivs, self._colors)
-            raise
-        lefts, rights, levels, indices = _arrays(ivs, colors)
-        cols = [np.fromiter(ids, np.int64, len(ids)), lefts, rights, levels, indices]
-        keep = levels >= 0
-        if keep.all():
-            return cols, _NO_ENDS, _NO_ENDS
-        drop = ~keep
-        return [c[keep] for c in cols], lefts[drop], rights[drop]
 
     def _drop_cache(self) -> None:
         """Forget the audit cache; the next fast audit builds it afresh."""
@@ -540,43 +524,59 @@ def is_conflict_free_fast(
     Handed a ColoringState's own state.intervals.values() together with
     the same state's assignment, it reads the state's audit cache: built
     on the first such call, then patched from the writes since the last
-    one.  The cache keeps the intervals wearing a dummy color only as
-    their sorted ends, and codes the others' colors on each call
-    (_rank_codes), without hashing Color objects.  Any other input (a
-    list, another mapping's values, a snapshot) has its arrays built from
-    the objects, each interval's color looked up once, and split the same
-    way (_cf_over_colors).  Both paths end in _cf_folded, which folds the
-    dummy ends into the segments of their union: O(n log n) for n
-    intervals, whatever the palette size, and the sort behind the sweep is
-    over the non-dummy intervals and the segments only.  An endpoint
-    beyond 2**53 that float64 does not hold, such as an integer that
-    rounds, sends the call to the exact sweep is_conflict_free.  Intended
-    for tight audit loops; agreement with the sweep version, witness and
-    gap included, is tested.
+    one.  Any other input (a list, another mapping's values, a snapshot)
+    is split into the same rows from the objects (_rows), each interval's
+    color looked up once.  Either way the intervals wearing a dummy color
+    are kept only as their sorted ends, and the others' colors are coded
+    on each call (_rank_codes), without hashing Color objects.  Both paths
+    end in _cf_folded, which folds the dummy ends into the segments of
+    their union: O(n log n) for n intervals, whatever the palette size,
+    and the sort behind the sweep is over the non-dummy intervals and the
+    segments only.  An id or color beyond int64, or an endpoint beyond
+    2**53 that float64 does not hold, such as an integer that rounds,
+    sends the call to the exact sweep is_conflict_free.  Intended for
+    tight audit loops; agreement with the sweep version, witness and gap
+    included, is tested.
     """
-    if type(intervals) is _LiveValues:
-        state = intervals._mapping.owner()
-        if state is not None and assignment is state.assignment:
-            try:
-                lefts, rights, levels, indices, dummy_lefts, dummy_rights = state._columns()
-            except OverflowError:
-                # an id, color or endpoint the arrays cannot hold has no
-                # row; the object path takes the state
-                state._drop_cache()
-            else:
-                codes = _rank_codes(levels, indices)
-                return _cf_folded(lefts, rights, codes, dummy_lefts, dummy_rights)
-    ivs = list(intervals)
+    state = intervals._mapping.owner() if type(intervals) is _LiveValues else None
+    if state is not None and assignment is not state.assignment:
+        state = None
     try:
-        cols = [assignment[iv.id] for iv in ivs]
+        if state is not None:
+            lefts, rights, levels, indices, dummy_lefts, dummy_rights = state._columns()
+        else:
+            intervals = list(intervals)
+            (_, lefts, rights, levels, indices), dummy_lefts, dummy_rights = _rows(
+                [iv.id for iv in intervals], intervals, assignment
+            )
+            dummy_lefts.sort()
+            dummy_rights.sort()
+    except OverflowError:
+        # an id, color or endpoint the arrays cannot hold has no row
+        if state is not None:
+            state._drop_cache()
+        return is_conflict_free(intervals, assignment)
+    return _cf_folded(lefts, rights, _rank_codes(levels, indices), dummy_lefts, dummy_rights)
+
+
+def _rows(ids: list[int], ivs: list[Interval], assignment: Mapping[int, Color]):
+    """The rows of the intervals ivs, whose ids are ids: the non-dummy ones
+    as (id, left, right, level, index) arrays, then the dummy ones' lefts
+    and their rights, in the order of ivs.
+
+    Raises ValueError when an interval has no color in assignment, and
+    OverflowError as _arrays does or when an id does not fit an int64.
+    """
+    try:
+        colors = [assignment[i] for i in ids]
     except KeyError:
         _missing_colors(ivs, assignment)
         raise
-    try:
-        arrays = _arrays(ivs, cols)
-    except OverflowError:
-        return is_conflict_free(ivs, assignment)
-    return _cf_over_colors(*arrays)
+    lefts, rights, levels, indices = _arrays(ivs, colors)
+    cols = [np.fromiter(ids, np.int64, len(ids)), lefts, rights, levels, indices]
+    keep = levels >= 0
+    drop = ~keep
+    return [c[keep] for c in cols], lefts[drop], rights[drop]
 
 
 # Every integer of magnitude up to 2**53 is a float64, and a float64
@@ -610,10 +610,6 @@ def _arrays(ivs: list[Interval], colors: list[Color]):
     )
 
 
-# the dummy ends of a state with no dummy row
-_NO_ENDS = np.empty(0)
-
-
 def _resorted(ends, gone, new):
     """Sorted ends less one occurrence of each value in gone, plus new.
 
@@ -629,26 +625,6 @@ def _resorted(ends, gone, new):
         new = np.sort(new)
         ends = np.insert(ends, ends.searchsorted(new), new)
     return ends
-
-
-def _cf_over_colors(lefts, rights, levels, indices) -> Verdict:
-    """Conflict-freeness over parallel endpoint and level/index arrays.
-
-    A row with level < 0 wears a dummy color: only its endpoints go on,
-    sorted, to _cf_folded's dummy union.  The other rows' colors are coded
-    by _rank_codes.
-    """
-    keep = levels >= 0
-    if keep.all():
-        return _cf_folded(lefts, rights, _rank_codes(levels, indices), _NO_ENDS, _NO_ENDS)
-    drop = ~keep
-    return _cf_folded(
-        lefts[keep],
-        rights[keep],
-        _rank_codes(levels[keep], indices[keep]),
-        np.sort(lefts[drop]),
-        np.sort(rights[drop]),
-    )
 
 
 def _rank_codes(levels, indices):
@@ -679,24 +655,6 @@ def _distinct(a):
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
-def _cf_over_arrays(lefts, rights, colors, nondummy) -> Verdict:
-    """Conflict-freeness over parallel endpoint/color-code arrays.
-
-    colors holds indices into a palette whose dummy mask is nondummy.  The
-    rows wearing a dummy color keep only their endpoints, for _cf_folded.
-    For audit loops that already keep endpoints and palette codes in
-    arrays, such as the kinetic maintainer.  The endpoints may also be
-    object arrays of Fractions; a witness at an endpoint then stays exact.
-    """
-    nd = nondummy[colors]
-    if nd.all():
-        return _cf_folded(lefts, rights, colors, _NO_ENDS, _NO_ENDS)
-    dummy = ~nd
-    return _cf_folded(
-        lefts[nd], rights[nd], colors[nd], np.sort(lefts[dummy]), np.sort(rights[dummy])
-    )
-
-
 def _cf_folded(lefts, rights, colors, dummy_lefts, dummy_rights) -> Verdict:
     """The rep sweep over non-dummy rows plus the union of the dummy rows.
 
@@ -723,13 +681,9 @@ def _cf_folded(lefts, rights, colors, dummy_lefts, dummy_rights) -> Verdict:
     whatever the palette size.
     """
     k = lefts.size
-    if dummy_lefts.size:
-        seg_lefts, seg_rights = _union_segments(dummy_lefts, dummy_rights)
-        s = seg_lefts.size
-        ends = np.concatenate((lefts, rights, seg_lefts, seg_rights))
-    else:
-        s = 0
-        ends = np.concatenate((lefts, rights))
+    seg_lefts, seg_rights = _union_segments(dummy_lefts, dummy_rights)
+    s = seg_lefts.size
+    ends = np.concatenate((lefts, rights, seg_lefts, seg_rights))
     xs, rank = np.unique(ends, return_inverse=True)
     m = 2 * xs.size  # reps 0 .. m-2 and one slot past the last
     # a row covers reps [2*rank(left), 2*rank(right) + 1): its start sits

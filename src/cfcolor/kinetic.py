@@ -37,8 +37,8 @@ certificate's, and the event pairs) and its neighbourhood: chain
 positions within two places, and intervals meeting an event window, a
 dropped member's span or a recolored span.  Any other call (the first
 one, a stride above one, audit="final", a run's closing audit, or an
-arbitrary t) audits the whole state.  A plain-Python sweep form of the
-audit is kept as the reference the tests compare against.
+arbitrary t) runs the full audit, a plain-Python sweep over the whole
+state, which is also the reference the tests hold the delta to.
 
 The module also contains the machinery for the quadratic lower bound:
 rigid 4-interval gadgets whose pairwise overlap patterns admit no valid
@@ -69,8 +69,8 @@ from .core import (
     RecolorLedger,
     TraceError,
     Verdict,
-    _cf_over_arrays,
     _sweep,
+    _union_segments,
     format_number,
     is_conflict_free,
     parse_number,
@@ -199,18 +199,6 @@ def compute_events(trajectories, t0, until) -> list[Event]:
             out.append(Event(t, kind, i1, i2, nxt))
     out.reverse()
     return out
-
-
-def _merged_cover(starts, ends):
-    """Union of intervals given as (starts, ends) arrays sorted by start,
-    as the (starts, ends) arrays of its disjoint segments."""
-    if not starts.size:
-        return starts, ends
-    run = np.maximum.accumulate(ends)
-    new_seg = np.empty(starts.size, dtype=bool)
-    new_seg[0] = True
-    new_seg[1:] = starts[1:] > run[:-1]
-    return starts[new_seg], np.maximum.reduceat(ends, np.flatnonzero(new_seg))
 
 
 def _event_window(ev, vpos, lefts, rights):
@@ -378,8 +366,7 @@ class KineticMaintainer:
         cidx = np.flatnonzero(self._chain_mask)
         cl = self._va0[cidx] + self._vva[cidx] * t
         cr = self._vb0[cidx] + self._vvb[cidx] * t
-        o = cl.argsort(kind="stable")
-        return _merged_cover(cl[o], cr[o])
+        return _union_segments(np.sort(cl), np.sort(cr))
 
     def _covered_by_chain(self, iid, t) -> bool:
         starts, ends = self._chain_segments(t)
@@ -596,14 +583,14 @@ class KineticMaintainer:
 
         A check right after one event batch, with the previous passing
         check before that batch, checks only what the batch can have
-        changed (_check_invariants_delta); every other call checks the
-        whole state.
+        changed (_check_invariants_delta); every other call runs the full
+        audit over the whole state (_check_invariants_sweep).
         """
         cert, self._cert = self._cert, None
         if cert is not None and self._delta_applies(cert, t):
             self._check_invariants_delta(t, cert)
         else:
-            self._check_invariants_fast(t)
+            self._check_invariants_sweep(t)
         self._cert = _Certificate(
             self.cursor, t, self._codes.copy(), self._chain_mask.copy()
         )
@@ -698,7 +685,7 @@ class KineticMaintainer:
                 p += 1
                 reach = max(reach, cr.item(p))
             if p < 0 or reach < rx:
-                seg_starts, seg_ends = _merged_cover(cl, cr)
+                seg_starts, seg_ends = _union_segments(cl, np.sort(cr))
                 seg = int(seg_starts.searchsorted(lx, side="right")) - 1
                 if seg < 0 or rx > seg_ends[seg]:
                     raise InvariantError(f"interval {vid[k]} escapes the chain cover")
@@ -749,66 +736,11 @@ class KineticMaintainer:
             windows,
         )
 
-    def _check_invariants_fast(self, t):
-        """Array form of the audit; semantics match the sweep form."""
-        lefts, rights = self._ends(t)
-        cmask, codes, vid = self._chain_mask, self._codes, self._vid
-        cidx = cmask.nonzero()[0]
-        if cidx.size == 0:
-            if vid:
-                raise InvariantError("empty chain with live intervals")
-            return
-        order = cidx[lefts[cidx].argsort(kind="stable")]
-        cl, cr = lefts[order], rights[order]
-        # C1: two-apart chain members are strictly disjoint
-        if order.size >= 3:
-            bad = np.flatnonzero(cr[:-2] >= cl[2:])
-            if bad.size:
-                k = int(bad[0])
-                a, b = vid[order[k]], vid[order[k + 2]]
-                raise InvariantError(f"chain members {a} and {b} both meet a point")
-        # C2: non-chain intervals covered by the merged chain segments
-        seg_starts, seg_ends = _merged_cover(cl, cr)
-        nc = np.flatnonzero(~cmask)
-        if nc.size:
-            pos = seg_starts.searchsorted(lefts[nc], side="right") - 1
-            ok = (pos >= 0) & (rights[nc] <= seg_ends[np.maximum(pos, 0)])
-            bad = np.flatnonzero(~ok)
-            if bad.size:
-                raise InvariantError(f"interval {vid[nc[bad[0]]]} escapes the chain cover")
-        # C3: no chain member contained in an earlier-starting interval
-        o_all = lefts.argsort(kind="stable")
-        r_sorted = rights[o_all]
-        prev_max = np.maximum.accumulate(np.concatenate(([-np.inf], r_sorted[:-1])))
-        contained = (r_sorted <= prev_max) & cmask[o_all]
-        if contained.any():
-            iid = vid[o_all[int(np.argmax(contained))]]
-            raise InvariantError(f"chain member {iid} is contained")
-        # color rule: members wear a chain color, the rest dummy (code 0)
-        chain_codes = codes[order]
-        if (chain_codes == 0).any():
-            iid = vid[order[int(np.argmax(chain_codes == 0))]]
-            raise InvariantError(f"chain member {iid} is dummy")
-        if nc.size and codes[nc].any():
-            k = nc[int(np.argmax(codes[nc] != 0))]
-            raise InvariantError(
-                f"non-chain interval {vid[k]} has color {_PALETTE[codes[k]]}"
-            )
-        if order.size > 1:
-            meets = cl[1:] <= cr[:-1]
-            clash = meets & (chain_codes[1:] == chain_codes[:-1])
-            if clash.any():
-                k = int(np.argmax(clash))
-                a, b = vid[order[k]], vid[order[k + 1]]
-                raise InvariantError(
-                    f"overlapping chain members {a}, {b} share a color"
-                )
-        verdict = _cf_over_arrays(lefts, rights, codes, _NONDUMMY)
-        if not verdict.ok:
-            raise InvariantError(f"coloring not conflict-free at {verdict.witness}")
-
     def _check_invariants_sweep(self, t):
-        """The audit in plain Python, the reference for the array forms."""
+        """The full audit, in plain Python: C1-C3, the color rule and
+        conflict-freeness over the whole state at t.  check_invariants runs
+        it wherever the batch delta does not apply, and the tests take it
+        as the reference the delta must agree with."""
         chain, colors = self.chain, self.colors
         order = self._order(t)
         snap = {iid: tr.at(t) for iid, tr in self.trajs.items()}

@@ -19,7 +19,6 @@ from cfcolor.core import (
     RecolorLedger,
     TraceError,
     Verdict,
-    _cf_over_arrays,
     _union_segments,
     elementary_regions,
     format_number,
@@ -208,13 +207,12 @@ class TestOracle:
         assert slow.gap == is_conflict_free_fast(ivs, assignment).gap == (a, b)
 
     def test_array_core_in_kinetic_layout(self):
-        # codes number colors in first-met order: the dummy sits at code 2,
-        # and codes 3 and 4 are in the palette but worn by no interval
+        # the kinetic palette layout: codes number colors in first-met
+        # order, the dummy sits at code 2, and codes 3 and 4 are in the
+        # palette but worn by no interval.  One state takes every case in
+        # turn, so its cache is built once and then patched.
         palette = [BLUE, RED, DUMMY, GREEN, Color(1, 0)]
-        nondummy = np.array([not c.is_dummy() for c in palette])
         ivs = [Interval(0, 0, 4), Interval(1, 1, 2), Interval(2, 3, 6), Interval(3, 4, 7)]
-        lefts = np.array([iv.left for iv in ivs], dtype=np.float64)
-        rights = np.array([iv.right for iv in ivs], dtype=np.float64)
         cases = {
             (0, 1, 2, 1): Verdict(True),
             (0, 1, 2, 0): Verdict(False, 4.0),  # two blues meet at the point 4
@@ -222,15 +220,35 @@ class TestOracle:
             (2, 1, 1, 2): Verdict(False, 0.0),  # only the dummy covers 0
             (2, 2, 2, 2): Verdict(False, 0.0),
         }
+        state = ColoringState()
+        for iv in ivs:
+            state.add(iv)
         for codes, want in cases.items():
-            verdict = _cf_over_arrays(lefts, rights, np.array(codes), nondummy)
-            assert verdict == want, codes
             colors = {iv.id: palette[c] for iv, c in zip(ivs, codes)}
+            for iid, color in colors.items():
+                state.set_color(iid, color)
+            assert fast_verdicts(ivs, colors, state) == [want] * 2, codes
             assert is_conflict_free(ivs, colors) == want, codes
 
 
+def fast_verdicts(ivs, assignment, state=None):
+    """is_conflict_free_fast on a list and on a ColoringState's own view,
+    its audit cache; the state is built from ivs and assignment unless
+    one that holds them is given."""
+    if state is None:
+        state = ColoringState()
+        for iv in ivs:
+            state.add(iv)
+            state.set_color(iv.id, assignment[iv.id])
+    return [
+        is_conflict_free_fast(ivs, assignment),
+        is_conflict_free_fast(state.intervals.values(), state.assignment),
+    ]
+
+
 class TestDummyFold:
-    """_cf_over_arrays folds the dummy rows into their union before the sweep.
+    """The fast oracle folds the dummy rows into their union before the
+    sweep, on a list and on a state's audit cache alike.
 
     Its verdict, witness and gap must be those of the sweep over every row,
     the dummy endpoints inside a folded segment included.
@@ -238,29 +256,24 @@ class TestDummyFold:
 
     # the dummy is not code 0, and GREEN is in the palette but may go unworn
     PALETTE = [BLUE, DUMMY, RED, GREEN]
-    NONDUMMY = np.array([not c.is_dummy() for c in PALETTE])
     B, D, R, G = range(4)
 
     # endpoints are small ints, mapped onto each number form below
     FORMS = {
         "float": float,
         "near-limit": lambda x: (x - 18) * 9e306,  # up to +-1.62e308
-        "fraction": lambda x: Fraction(x, 3),
     }
 
     def _agree(self, rows, form):
-        """rows: (left, right, code) on small ints; compare both oracles."""
+        """rows: (left, right, code) on small ints; compare the oracles."""
         f = self.FORMS[form]
         ivs = [Interval(i, f(a), f(b)) for i, (a, b, _) in enumerate(rows)]
-        dtype = object if form == "fraction" else np.float64
-        lefts = np.array([iv.left for iv in ivs], dtype=dtype)
-        rights = np.array([iv.right for iv in ivs], dtype=dtype)
-        codes = np.array([c for _, _, c in rows])
-        fast = _cf_over_arrays(lefts, rights, codes, self.NONDUMMY)
-        slow = is_conflict_free(ivs, {iv.id: self.PALETTE[c] for iv, (_, _, c) in zip(ivs, rows)})
-        assert fast == slow
-        assert fast.gap == slow.gap
-        return fast
+        assignment = {iv.id: self.PALETTE[c] for iv, (_, _, c) in zip(ivs, rows)}
+        slow = is_conflict_free(ivs, assignment)
+        for fast in fast_verdicts(ivs, assignment):
+            assert fast == slow
+            assert fast.gap == slow.gap
+        return slow
 
     @pytest.mark.parametrize("form", sorted(FORMS))
     def test_dummy_endpoints_inside_a_segment_split_the_gap(self, form):
@@ -313,14 +326,49 @@ class TestDummyFold:
         self._agree([(a, a + k, c) for a, k, c in rows], form)
 
     def test_union_segments(self):
-        def segments(*ivs):
-            lefts, rights = (np.sort(np.array(e, dtype=np.float64)) for e in zip(*ivs))
+        def segments(*ivs, dtype=np.float64):
+            lefts, rights = (np.sort(np.array(e, dtype=dtype)) for e in zip(*ivs))
             return [e.tolist() for e in _union_segments(lefts, rights)]
+
+        def merged(*ivs):
+            """The merge of KineticMaintainer._merged_chain: by left, an
+            interval starting at or before the last segment's end extends it."""
+            segs = []
+            for a, b in sorted(ivs):
+                if segs and a <= segs[-1][1]:
+                    segs[-1][1] = max(segs[-1][1], b)
+                else:
+                    segs.append([a, b])
+            return [[a for a, _ in segs], [b for _, b in segs]]
 
         assert segments((0, 1), (1, 2)) == [[0], [2]]  # closed: abutting is one
         assert segments((0, 1), (2, 3)) == [[0, 2], [1, 3]]
         assert segments((0, 10), (1, 2), (3, 4)) == [[0], [10]]
         assert segments((3, 4), (0, 2), (1, 3), (6, 7)) == [[0, 6], [4, 7]]
+        # the kinetic chain cover's shapes, each sorted on its own as
+        # _chain_segments does, in float64 and in exact mode's Fractions
+        shapes = [
+            # rights out of left order: an early long member outlasts later ones
+            [(0, 10), (1, 2), (3, 4)],
+            [(0, 5), (1, 2), (6, 7), (6.5, 9), (7, 8)],
+            [(0, 4), (1, 6), (2, 3), (7, 8)],
+            # abutting members, in one run and apart
+            [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6)],
+            [(0, 3), (1, 2), (3, 4)],
+        ]
+        rng = random.Random(5)
+        for _ in range(200):
+            shape = []
+            for _ in range(rng.randint(1, 8)):
+                a = rng.randint(0, 20)
+                shape.append((a, a + rng.randint(1, 6)))
+            shapes.append(shape)
+        for shape in shapes:
+            assert segments(*shape) == merged(*shape), shape
+            exact = [(Fraction(a) / 3, Fraction(b) / 3) for a, b in shape]
+            got = segments(*exact, dtype=object)
+            assert got == merged(*exact), shape
+            assert all(type(x) is Fraction for ends in got for x in ends)
 
 
 class TestNearFloatLimit:

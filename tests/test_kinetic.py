@@ -13,12 +13,12 @@ from cfcolor.core import (
     EngineError,
     InvariantError,
     TraceError,
-    _cf_over_arrays,
     is_conflict_free,
+    is_conflict_free_fast,
 )
 from cfcolor.kinetic import (
     _CODE,
-    _NONDUMMY,
+    _Certificate,
     _PALETTE,
     CHAIN_PALETTE,
     GADGET_REGIONS,
@@ -129,9 +129,9 @@ class TestMaintainerInit:
         codes = {iid: _PALETTE[c] for iid, c in zip(km._vid, km._codes.tolist())}
         assert dict(view) == codes and km.colors == codes
         assert km.chain == {iid for iid, c in codes.items() if c != DUMMY}
-        # the sweep oracle over the view and the array oracle over the codes
-        assert is_conflict_free(km.snapshot(t), view) == _cf_over_arrays(
-            *km._ends(t), km._codes, _NONDUMMY
+        # the sweep oracle over the view and the fast one over the codes
+        assert is_conflict_free(km.snapshot(t), view) == is_conflict_free_fast(
+            km.snapshot(t), codes
         )
 
 
@@ -214,16 +214,42 @@ class TestRandomScenarios:
         km.run(audit="every", stride=7)
 
     def test_fast_and_sweep_audits_agree(self):
+        """After every event, the batch delta (where it applies) and the
+        full sweep audit both pass, and so does check_invariants, which
+        picks one of them and certifies the state for the next event."""
         rng = random.Random(13)
+        deltas = 0
         for _ in range(10):
             trajs = random_scenario(rng, rng.randint(3, 10))
             km = KineticMaintainer(trajs, 0.0, 10.0)
-            while True:
-                rec = km.step()
-                if rec is None:
-                    break
-                km._check_invariants_fast(rec.t_eval)
-                km._check_invariants_sweep(rec.t_eval)
+            while (rec := km.step()) is not None:
+                t, cert = rec.t_eval, km._cert
+                if cert is not None and km._delta_applies(cert, t):
+                    km._check_invariants_delta(t, cert)
+                    deltas += 1
+                km._check_invariants_sweep(t)
+                km.check_invariants(t)
+        assert deltas > 300  # 424 with this seed
+
+    def test_chain_segments_match_the_python_merge(self):
+        """The chain cover from the sorted ends (_chain_segments) against
+        the plain merge by left (_merged_chain), in both modes, between
+        events and at each crossing instant, where an RL pair abuts."""
+        rng = random.Random(17)
+        abut = 0
+        for exact in (False, True):
+            for _ in range(6):
+                trajs = random_scenario(rng, rng.randint(3, 15))
+                km = KineticMaintainer(trajs, 0.0, 10.0, exact=exact)
+                while (rec := km.step()) is not None:
+                    for t in (rec.t_eval, rec.event.time):
+                        starts, ends = km._chain_segments(t)
+                        merged = km._merged_chain(t)
+                        assert [list(p) for p in zip(starts.tolist(), ends.tolist())] == merged
+                    ev = rec.event
+                    if ev.kind.startswith("RL"):
+                        abut += km._member(ev.id1) and km._member(ev.id2)
+        assert abut > 300  # RL events whose pair stays in the chain: 452 with this seed
 
 
 def _passes(check, t) -> bool:
@@ -318,9 +344,10 @@ def test_simultaneous_crossings_keep_the_invariants():
 
 def _audit_planted_faults(rng, scenarios, exact=False):
     """Step each scenario batch by batch, planting a fault in 40% of the
-    batches, and require the full, sweep and (where it applies) delta
-    checks to agree.  Returns counts of delta checks, delta checks over
-    multi-event batches, planted faults and failing verdicts."""
+    batches, and require the sweep, check_invariants with and without a
+    certificate, and (where it applies) the delta to agree.  Returns counts
+    of delta checks, delta checks over multi-event batches, planted faults
+    and failing verdicts."""
     deltas = multi = planted = raised = 0
     for k in range(scenarios):
         if k % 3 == 2:
@@ -334,10 +361,7 @@ def _audit_planted_faults(rng, scenarios, exact=False):
             if rng.random() < 0.4:
                 undo = _plant_fault(km, rng, cert)
                 planted += 1
-            verdicts = {
-                "full": _passes(km._check_invariants_fast, t),
-                "sweep": _passes(km._check_invariants_sweep, t),
-            }
+            verdicts = {"sweep": _passes(km._check_invariants_sweep, t)}
             if cert is not None and km._delta_applies(cert, t):
                 deltas += 1
                 multi += km.cursor - cert.cursor > 1
@@ -346,12 +370,20 @@ def _audit_planted_faults(rng, scenarios, exact=False):
                 )
                 # the windowed conflict sweep alone against the full
                 # oracle, witnesses and gaps included
-                lefts, rights = km._ends(t)
-                full_cf = _cf_over_arrays(lefts, rights, km._codes, _NONDUMMY)
-                windowed = km._conflict_since(cert, lefts, rights)
+                full_cf = is_conflict_free(km.snapshot(t), km.colors)
+                windowed = km._conflict_since(cert, *km._ends(t))
                 assert windowed == full_cf and windowed.gap == full_cf.gap
+            # the runtime dispatch: with no certificate, or with one taken
+            # of this very state at this cursor (no events since, so the
+            # delta would see nothing touched), it audits the whole state;
+            # with the last passing check's it takes the delta where that
+            # applies
+            here = _Certificate(km.cursor, t, km._codes.copy(), km._chain_mask.copy())
+            for key, c in (("check uncertified", None), ("check here", here), ("check", cert)):
+                km._cert = c
+                verdicts[key] = _passes(km.check_invariants, t)
             assert len(set(verdicts.values())) == 1, (verdicts, km.cursor)
-            raised += not verdicts["full"]
+            raised += not verdicts["sweep"]
             if undo is not None:
                 undo()
             km.check_invariants(t)  # passes on the mended state and certifies it

@@ -230,14 +230,20 @@ def test_only_the_audited_state_builds_a_cache():
     assert all(inner.state._cols is None for inner in eng._inner)
 
 
-def test_an_id_beyond_int64_takes_the_object_path():
+def test_an_id_beyond_int64_takes_the_sweep():
     state = ColoringState()
     for iid, (a, b) in ((2**70, (0, 4)), (-5, (2, 6))):
         state.add(Interval(iid, a, b))
         state.set_color(iid, Color(0, 0))
+    # both fast paths meet the id in their id array and hand the call to
+    # the sweep, which keeps the integer witness; the cache is dropped
     assert outcomes(state) == [(False, 2, None)] * 3
+    assert type(is_conflict_free_fast(list(state.intervals.values()), state.assignment).witness) is int
+    assert state._cols is None
     state.remove(2**70)
     assert outcomes(state) == [(True, None, None)] * 3
+    assert state._cols is not None
+    check_cache(state)
 
 
 def test_a_view_outliving_its_state_is_read_as_a_sequence():
