@@ -257,12 +257,19 @@ class ColoringState:
         # The audit cache, split by color, and the marks since it was last
         # brought up to date; all None until the first fast audit.  _cols
         # holds the non-dummy rows as (id, left, right, level, index) arrays
-        # in no order, _ends the dummy rows' lefts and rights, each sorted.
-        # A mark is (id, interval, color) as they were before the write, so
-        # an id's first mark since the last audit holds its cached row.
+        # in no order.  _ends holds the dummy rows' ends as runs: the sorted
+        # distinct lefts with the number of dummy rows starting at each,
+        # then the same for the rights.  A mark is (id, interval, color) as
+        # they were before the write, so an id's first mark since the last
+        # audit holds its cached row.
         self._cols: list[np.ndarray] | None = None
-        self._ends: tuple[np.ndarray, np.ndarray] | None = None
+        self._ends: tuple[np.ndarray, ...] | None = None
         self._marked: deque[tuple] | None = None
+        # kept by every write, cache or not: the ids on a non-dummy color,
+        # and the number of live intervals with an endpoint that float64
+        # may misstate (_inexact)
+        self._nondummy: set[int] = set()
+        self._inexact_live = 0
 
     @property
     def n(self) -> int:
@@ -274,6 +281,14 @@ class ColoringState:
         if interval.id in live:
             raise EngineError(f"duplicate insert id {interval.id}")
         live[interval.id] = interval
+        left, right = interval.left, interval.right
+        # one test passes the int and float ends within 2**53, exact all
+        if not (-_EXACT <= left and right <= _EXACT
+                and type(left) in _NUMBERS and type(right) in _NUMBERS):
+            if _inexact(left) or _inexact(right):
+                # the fast audit takes the sweep until this interval is gone
+                self._inexact_live += 1
+                self._drop_cache()
         marked = self._marked
         if marked is not None:  # one append while a cache exists
             marked.append((interval.id, None, None))
@@ -304,6 +319,9 @@ class ColoringState:
         if interval is None:
             raise EngineError(f"delete of unknown id {interval_id}")
         color = self._colors.pop(interval_id, None)
+        self._nondummy.discard(interval_id)
+        if self._inexact_live and (_inexact(interval.left) or _inexact(interval.right)):
+            self._inexact_live -= 1
         marked = self._marked
         if marked is not None:
             marked.append((interval_id, interval, color))
@@ -320,6 +338,10 @@ class ColoringState:
             return False
         colors[interval_id] = color
         self.seen.add(color)
+        if color.level < 0:
+            self._nondummy.discard(interval_id)
+        else:
+            self._nondummy.add(interval_id)
         marked = self._marked
         if marked is not None:
             marked.append((interval_id, self._live[interval_id], old))
@@ -332,57 +354,77 @@ class ColoringState:
 
     def _columns(self):
         """The audit cache, brought up to date: the non-dummy rows' left,
-        right, level and index arrays, then the dummy rows' lefts and
-        rights, each sorted.
+        right, level and index arrays, then the dummy rows' ends as runs
+        (left values, their counts, right values, their counts).
 
         The first call builds the cache, and so does a call after the marks
-        filled their bounded queue.  Other calls patch it from the marks:
-        they drop the non-dummy rows of every marked id, take the cached
-        dummy ends of the marked ids out of the sorted ends, and add fresh
-        rows for the marked ids still live, which also covers an id reused
-        with new endpoints.  Raises ValueError, and leaves the cache and
-        the marks as they were, when a live interval has no color.  Raises
-        OverflowError when an id or a color does not fit an int64, or an
-        endpoint is no float64 (_rows).
+        filled their bounded queue.  A build reads both ends of every live
+        interval, but the other columns of the non-dummy rows only, and
+        counts the dummy ends as all ends less the non-dummy ones.  Other
+        calls patch the cache from the marks: they drop the non-dummy rows
+        of every marked id, count the cached dummy ends of the marked ids
+        out of the runs, and add fresh rows and counts for the marked ids
+        still live, which also covers an id reused with new endpoints.
+        Raises ValueError, and leaves the cache and the marks as they were,
+        when a live interval has no color.  Raises OverflowError when an id
+        or a color does not fit an int64 (_rows).  The caller makes sure no
+        live endpoint is inexact.
         """
         marked, live = self._marked, self._live
         if self._cols is None or len(marked) == marked.maxlen:
-            self._cols, lefts, rights = _rows(list(live), list(dict.values(live)), self._colors)
-            self._ends = np.sort(lefts), np.sort(rights)
+            colors = self._colors
+            if len(colors) < len(live):
+                _missing_colors(list(dict.values(live)), colors)
+            ids = list(self._nondummy)
+            self._cols, _, _ = _rows(ids, [live[i] for i in ids], colors)
+            ends = []
+            for end, nondummy in ((_LEFT, self._cols[1]), (_RIGHT, self._cols[2])):
+                every = np.fromiter(map(end, dict.values(live)), np.float64, len(live))
+                ends += _recounted(*np.unique(every, return_counts=True), nondummy, nondummy[:0])
+            self._ends = tuple(ends)
         elif marked:
             self._patch(marked)
         self._marked = deque(maxlen=len(live) // _MARK_SHARE + _MARK_FLOOR)
-        return (*self._cols[1:], *self._ends)
+        return (*self._cols[1:], self._ends)
 
     def _patch(self, marked: deque[tuple]) -> None:
         """Bring the cache up to date from the marks, as _columns says.
 
         An id's first mark since the last audit holds its row as the cache
-        has it: the ends of a dummy row to take out of the sorted ends.
-        Non-dummy rows are found by their id.
+        has it, if any: the ends of a dummy row to count out of the runs,
+        or the id of a non-dummy row to drop.
         """
         live = self._live
         first = {mark[0]: mark for mark in reversed(marked)}
         fresh = [i for i in first if i in live]
         fresh, fresh_lefts, fresh_rights = _rows(fresh, [live[i] for i in fresh], self._colors)
-        gone = [iv for _, iv, color in first.values() if iv is not None and color.level < 0]
-        m = np.fromiter(first, np.int64, len(first))
-        m.sort()
-        # nothing below raises: a raise above leaves the cache as it was
+        cached = [mark for mark in first.values() if mark[1] is not None]
+        gone = [iv for _, iv, color in cached if color.level < 0]
+        stale = sorted(i for i, _, color in cached if color.level >= 0)
+        # nothing below raises: a raise above leaves the cache as it was,
+        # and the stale ids fitted an int64 when their rows were cached
         cols = self._cols
-        at = m.searchsorted(cols[0])
-        np.minimum(at, m.size - 1, out=at)
-        keep = m[at] != cols[0]
-        lefts, rights = self._ends
-        self._cols = [np.concatenate((c[keep], f)) for c, f in zip(cols, fresh)]
+        if stale:
+            m = np.array(stale, np.int64)
+            at = m.searchsorted(cols[0])
+            np.minimum(at, m.size - 1, out=at)
+            keep = m[at] != cols[0]
+            cols = [c[keep] for c in cols]
+        ends = self._ends
+        self._cols = [np.concatenate((c, f)) for c, f in zip(cols, fresh)]
         self._ends = (
-            _resorted(lefts, np.fromiter(map(_LEFT, gone), np.float64, len(gone)), fresh_lefts),
-            _resorted(rights, np.fromiter(map(_RIGHT, gone), np.float64, len(gone)), fresh_rights),
+            *_recounted(*ends[:2], np.fromiter(map(_LEFT, gone), np.float64, len(gone)), fresh_lefts),
+            *_recounted(*ends[2:], np.fromiter(map(_RIGHT, gone), np.float64, len(gone)), fresh_rights),
         )
 
     def _drop_cache(self) -> None:
-        """Forget the audit cache; the next fast audit builds it afresh."""
+        """Forget the audit cache; the next fast audit builds it afresh.
+
+        The non-dummy ids are recounted from the colors too, so the build
+        reads the colors as they are, even ones written past set_color.
+        """
         self._cols = self._ends = self._marked = None
+        self._nondummy = {i for i, color in self._colors.items() if color.level >= 0}
 
     def colors_in_use(self, include_dummy: bool = True) -> set[Color]:
         used = set(self._colors.values())
@@ -527,36 +569,45 @@ def is_conflict_free_fast(
     one.  Any other input (a list, another mapping's values, a snapshot)
     is split into the same rows from the objects (_rows), each interval's
     color looked up once.  Either way the intervals wearing a dummy color
-    are kept only as their sorted ends, and the others' colors are coded
-    on each call (_rank_codes), without hashing Color objects.  Both paths
-    end in _cf_folded, which folds the dummy ends into the segments of
-    their union: O(n log n) for n intervals, whatever the palette size,
-    and the sort behind the sweep is over the non-dummy intervals and the
-    segments only.  An id or color beyond int64, or an endpoint beyond
-    2**53 that float64 does not hold, such as an integer that rounds,
-    sends the call to the exact sweep is_conflict_free.  Intended for
-    tight audit loops; agreement with the sweep version, witness and gap
-    included, is tested.
+    are kept only as runs of their ends, each distinct value with a count,
+    so their cost follows the distinct endpoints, at most U of them in a
+    fixed universe {0, ..., U-1}.  The others' colors are coded on each
+    call (_rank_codes), without hashing Color objects.  Both paths end in
+    _cf_folded, which folds the dummy runs into the segments of their
+    union: O(n log n) for n intervals, whatever the palette size, and the
+    sort behind the sweep is over the non-dummy intervals and the segments
+    only.  An endpoint that float64 may misstate (_inexact), such as an
+    integer beyond 2**53 that rounds or a Fraction such as 1/3, or a color
+    or a non-dummy row's id beyond int64, sends the call to the exact
+    sweep is_conflict_free.
+    A state counts its live intervals with such an endpoint on every add
+    and remove, and while it holds one it takes the sweep at once,
+    building no cache.  Intended for tight audit loops; agreement with the
+    sweep version, witness and gap included, is tested.
     """
     state = intervals._mapping.owner() if type(intervals) is _LiveValues else None
     if state is not None and assignment is not state.assignment:
         state = None
+    if state is not None and state._inexact_live:
+        return is_conflict_free(intervals, assignment)
     try:
         if state is not None:
-            lefts, rights, levels, indices, dummy_lefts, dummy_rights = state._columns()
+            lefts, rights, levels, indices, dummy = state._columns()
         else:
             intervals = list(intervals)
             (_, lefts, rights, levels, indices), dummy_lefts, dummy_rights = _rows(
                 [iv.id for iv in intervals], intervals, assignment
             )
-            dummy_lefts.sort()
-            dummy_rights.sort()
+            dummy = (
+                *np.unique(dummy_lefts, return_counts=True),
+                *np.unique(dummy_rights, return_counts=True),
+            )
     except OverflowError:
         # an id, color or endpoint the arrays cannot hold has no row
         if state is not None:
             state._drop_cache()
         return is_conflict_free(intervals, assignment)
-    return _cf_folded(lefts, rights, _rank_codes(levels, indices), dummy_lefts, dummy_rights)
+    return _cf_folded(lefts, rights, _rank_codes(levels, indices), *dummy)
 
 
 def _rows(ids: list[int], ivs: list[Interval], assignment: Mapping[int, Color]):
@@ -565,7 +616,8 @@ def _rows(ids: list[int], ivs: list[Interval], assignment: Mapping[int, Color]):
     and their rights, in the order of ivs.
 
     Raises ValueError when an interval has no color in assignment, and
-    OverflowError as _arrays does or when an id does not fit an int64.
+    OverflowError as _arrays does or when the id of a non-dummy row does
+    not fit an int64; a dummy row's id is never read, as in a build.
     """
     try:
         colors = [assignment[i] for i in ids]
@@ -573,34 +625,53 @@ def _rows(ids: list[int], ivs: list[Interval], assignment: Mapping[int, Color]):
         _missing_colors(ivs, assignment)
         raise
     lefts, rights, levels, indices = _arrays(ivs, colors)
-    cols = [np.fromiter(ids, np.int64, len(ids)), lefts, rights, levels, indices]
     keep = levels >= 0
     drop = ~keep
-    return [c[keep] for c in cols], lefts[drop], rights[drop]
+    kept = keep.nonzero()[0].tolist()
+    kept_ids = np.fromiter(map(ids.__getitem__, kept), np.int64, len(kept))
+    return [kept_ids, *(c[keep] for c in (lefts, rights, levels, indices))], lefts[drop], rights[drop]
 
 
 # Every integer of magnitude up to 2**53 is a float64, and a float64
 # endpoint converts to itself, so an int or float endpoint that its
 # float64 misstates lies beyond this.
 _EXACT = 2.0**53
+_NUMBERS = {int, float}
+
+
+def _inexact(x) -> bool:
+    """Whether float64 may misstate endpoint x: an int beyond 2**53 whose
+    float differs, or a value neither int nor float (a Fraction, say)
+    whose float() differs or overflows.  Two such endpoints can round onto
+    one float and make disjoint intervals overlap.
+    """
+    kind = type(x)
+    if kind is float or (kind is int and -_EXACT <= x <= _EXACT):
+        return False
+    try:
+        return float(x) != x
+    except OverflowError:
+        return True
 
 
 def _arrays(ivs: list[Interval], colors: list[Color]):
     """float64 left and right, int64 level and index arrays of the rows.
 
     Raises OverflowError when a value does not fit its array, or when an
-    endpoint beyond 2**53 is not exactly its float64: two such integers
-    can round onto one float and make disjoint intervals overlap.
+    endpoint is _inexact.  Only the rows with an end beyond 2**53 or an end
+    neither int nor float are tested one by one.
     """
     n = len(ivs)
     lefts = np.fromiter(map(_LEFT, ivs), np.float64, n)
     rights = np.fromiter(map(_RIGHT, ivs), np.float64, n)
     # lefts <= rights, so a row has an end beyond _EXACT exactly when
     # one of these holds
-    big = ((lefts <= -_EXACT) | (rights >= _EXACT)).nonzero()[0]
-    for i in big.tolist():
+    odd = ((lefts <= -_EXACT) | (rights >= _EXACT)).nonzero()[0].tolist()
+    if not {*map(type, map(_LEFT, ivs)), *map(type, map(_RIGHT, ivs))} <= _NUMBERS:
+        odd = range(n)
+    for i in odd:
         iv = ivs[i]
-        if iv.left != lefts.item(i) or iv.right != rights.item(i):
+        if _inexact(iv.left) or _inexact(iv.right):
             raise OverflowError(f"interval {iv.id}: an endpoint is not a float64")
     return (
         lefts,
@@ -610,21 +681,31 @@ def _arrays(ivs: list[Interval], colors: list[Color]):
     )
 
 
-def _resorted(ends, gone, new):
-    """Sorted ends less one occurrence of each value in gone, plus new.
+def _recounted(values, counts, gone, new):
+    """Runs of ends, sorted distinct values with positive counts, less one
+    occurrence of each value in gone and plus one of each value in new.
 
-    gone holds values of ends.  Its equal values, -0.0 and 0.0 alike, take
-    consecutive occurrences in ends: the k-th of a run is found k places
-    after the first.
+    gone holds values of the runs.  A searchsorted finds each value of new
+    and of gone, and a bincount over the runs turns them into count
+    changes.  The values of new not there yet are inserted in order before
+    gone is counted out, and a value whose count reaches 0 is dropped.
+    -0.0 and 0.0 are one value.
     """
-    if gone.size:
-        gone.sort()
-        at = ends.searchsorted(gone) + np.arange(gone.size) - gone.searchsorted(gone)
-        ends = np.delete(ends, at)
     if new.size:
-        new = np.sort(new)
-        ends = np.insert(ends, ends.searchsorted(new), new)
-    return ends
+        at = values.searchsorted(new)
+        found = at < values.size
+        found[found] = values[at[found]] == new[found]
+        counts = counts + np.bincount(at[found], minlength=values.size)
+        if not found.all():
+            added, added_counts = np.unique(new[~found], return_counts=True)
+            at = values.searchsorted(added)
+            values, counts = np.insert(values, at, added), np.insert(counts, at, added_counts)
+    if gone.size:
+        counts = counts - np.bincount(values.searchsorted(gone), minlength=values.size)
+        kept = counts > 0
+        if not kept.all():
+            values, counts = values[kept], counts[kept]
+    return values, counts
 
 
 def _rank_codes(levels, indices):
@@ -655,14 +736,17 @@ def _distinct(a):
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
-def _cf_folded(lefts, rights, colors, dummy_lefts, dummy_rights) -> Verdict:
+def _cf_folded(
+    lefts, rights, colors, dummy_lefts, dummy_left_counts, dummy_rights, dummy_right_counts
+) -> Verdict:
     """The rep sweep over non-dummy rows plus the union of the dummy rows.
 
     lefts, rights and colors are the rows wearing a non-dummy color, coded
-    as small non-negative ints; dummy_lefts and dummy_rights are the other
-    rows' endpoints, each sorted on its own.  A dummy interval matters only
-    through coverage, so the dummy rows enter the sweep as the maximal
-    segments of their union (_union_segments).
+    as small non-negative ints.  The other rows come as runs of their ends:
+    dummy_lefts holds their distinct lefts, sorted, and dummy_left_counts
+    the number of rows starting at each; the rights likewise.  A dummy
+    interval matters only through coverage, so the dummy rows enter the
+    sweep as the maximal segments of their union (_union_segments).
 
     The distinct endpoints x_0 < x_1 < ... give the representative points
     ("reps"): rep 2k is x_k and rep 2k+1 stands for the open gap
@@ -675,13 +759,15 @@ def _cf_folded(lefts, rights, colors, dummy_lefts, dummy_rights) -> Verdict:
 
     The segments hide the dummy endpoints inside them, so a violating gap
     (a, b) of this arrangement may hold more of the full one: its first
-    gap ends at the first dummy endpoint after a, when that is before b.
-    A violating endpoint needs no such fix-up.  So the verdict, witness
-    and gap are those of the sweep over every row.  O(n log n) for n rows,
-    whatever the palette size.
+    gap ends at the first dummy value after a, when that is before b.  A
+    violating endpoint needs no such fix-up.  So the verdict, witness and
+    gap are those of the sweep over every row.  O(n log n + d log d) for n
+    non-dummy rows and d distinct dummy ends, whatever the palette size.
     """
     k = lefts.size
-    seg_lefts, seg_rights = _union_segments(dummy_lefts, dummy_rights)
+    seg_lefts, seg_rights = _union_segments(
+        dummy_lefts, dummy_rights, dummy_left_counts, dummy_right_counts
+    )
     s = seg_lefts.size
     ends = np.concatenate((lefts, rights, seg_lefts, seg_rights))
     xs, rank = np.unique(ends, return_inverse=True)
@@ -722,20 +808,37 @@ def _cf_folded(lefts, rights, colors, dummy_lefts, dummy_rights) -> Verdict:
     return Verdict(False, a / 2.0 + b / 2.0, (a, b))  # no overflow
 
 
-def _union_segments(lefts, rights):
-    """The maximal segments of a union of closed intervals, given sorted ends.
+def _union_segments(lefts, rights, left_counts=None, right_counts=None):
+    """The maximal segments of a union of closed intervals, given their
+    ends sorted: lefts, and rights each on its own.
 
-    With lefts and rights each sorted, the union breaks after rights[i]
-    exactly when lefts[i + 1] > rights[i]: at a point between the two, at
-    least i + 1 intervals have ended and at most i + 1 have started, so
-    none is active.  Abutting intervals such as [0, 1] and [1, 2] make one
-    segment [0, 2].
+    Without counts each value stands for one end, as in the kinetic chain
+    cover.  Then the union breaks after rights[i] exactly when
+    lefts[i + 1] > rights[i]: at a point between the two, at least i + 1
+    intervals have ended and at most i + 1 have started, so none is active.
+
+    With counts the ends come as runs, as the fast oracle keeps the dummy
+    ends: left_counts[i] > 0 intervals start at lefts[i], and the same for
+    the rights.  Just past rights[j], the intervals that started at or
+    before it number at least those that ended, and the union breaks there
+    exactly when the two numbers are equal; the next segment starts at the
+    first left beyond rights[j].  This costs a searchsorted and two
+    cumsums more than the comparison, which one-end-per-value callers skip.
+
+    Either way abutting intervals such as [0, 1] and [1, 2] make one
+    segment [0, 2], and object arrays of Fractions work too.
     """
-    breaks = lefts[1:] > rights[:-1]
-    return (
-        np.concatenate((lefts[:1], lefts[1:][breaks])),
-        np.concatenate((rights[:-1][breaks], rights[-1:])),
-    )
+    if left_counts is None:
+        breaks = lefts[1:] > rights[:-1]
+        return (
+            np.concatenate((lefts[:1], lefts[1:][breaks])),
+            np.concatenate((rights[:-1][breaks], rights[-1:])),
+        )
+    # the lefts up to rights[j] are lefts[:at[j]], never none: lefts[0]
+    # is below every right
+    at = lefts.searchsorted(rights, "right")
+    breaks = (left_counts.cumsum()[at - 1] == right_counts.cumsum()).nonzero()[0]
+    return np.concatenate((lefts[:1], lefts[at[breaks[:-1]]])), rights[breaks]
 
 
 def replay(engine: EngineProtocol, ops: Iterable[Op], audit: str = "none") -> Verdict:

@@ -327,8 +327,18 @@ class TestDummyFold:
 
     def test_union_segments(self):
         def segments(*ivs, dtype=np.float64):
+            """The union from ends sorted on their own, as _chain_segments
+            has them; the same from the runs of the ends, as the fast
+            oracle has them, and from the ends with every count 1, must
+            agree."""
             lefts, rights = (np.sort(np.array(e, dtype=dtype)) for e in zip(*ivs))
-            return [e.tolist() for e in _union_segments(lefts, rights)]
+            got = [e.tolist() for e in _union_segments(lefts, rights)]
+            ones = np.ones(len(ivs), np.int64)
+            assert [e.tolist() for e in _union_segments(lefts, rights, ones, ones)] == got
+            if dtype is np.float64:
+                (lv, lc), (rv, rc) = (np.unique(e, return_counts=True) for e in (lefts, rights))
+                assert [e.tolist() for e in _union_segments(lv, rv, lc, rc)] == got
+            return got
 
         def merged(*ivs):
             """The merge of KineticMaintainer._merged_chain: by left, an
@@ -345,6 +355,12 @@ class TestDummyFold:
         assert segments((0, 1), (2, 3)) == [[0, 2], [1, 3]]
         assert segments((0, 10), (1, 2), (3, 4)) == [[0], [10]]
         assert segments((3, 4), (0, 2), (1, 3), (6, 7)) == [[0, 6], [4, 7]]
+        # repeated ends: runs with counts above 1, one break after a run
+        assert segments((0, 1), (0, 1), (1, 2), (3, 4), (3, 4)) == [[0, 3], [2, 4]]
+        assert segments((0, 2), (0, 2), (2, 3), (2, 3), (0, 3)) == [[0], [3]]
+        empty, none = np.empty(0), np.empty(0, int)
+        assert [e.size for e in _union_segments(empty, empty, none, none)] == [0, 0]
+        assert [e.size for e in _union_segments(empty, empty)] == [0, 0]
         # the kinetic chain cover's shapes, each sorted on its own as
         # _chain_segments does, in float64 and in exact mode's Fractions
         shapes = [
@@ -362,6 +378,7 @@ class TestDummyFold:
             for _ in range(rng.randint(1, 8)):
                 a = rng.randint(0, 20)
                 shape.append((a, a + rng.randint(1, 6)))
+            shape += rng.sample(shape, rng.randint(0, len(shape)))  # repeats
             shapes.append(shape)
         for shape in shapes:
             assert segments(*shape) == merged(*shape), shape

@@ -8,13 +8,18 @@ must agree: the cache path, the same call on a list of the live intervals
 (arrays built from the objects) and the sweep is_conflict_free.  They agree
 on ok, witness and gap, or raise the same ValueError when a live interval
 has no color.  After each audit the cache must hold exactly the live rows:
-the non-dummy ones as rows, the dummy ones as their sorted ends.
+the non-dummy ones as rows, the dummy ones as runs of their ends, each
+distinct value with the number of dummy rows that end there.  One stream
+draws halves from [-3, 9), another integers from a universe of 16, where
+dummy ends repeat heavily and their counts fall to 0 and come back.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,9 +69,18 @@ def check_cache(state):
         (iv.id, iv.left, iv.right, c.level, c.index) for iv, c in live if c.level >= 0
     )
     dummy = [iv for iv, c in live if c.level < 0]
-    lefts, rights = state._ends
-    assert np.array_equal(lefts, np.sort(np.array([iv.left for iv in dummy], dtype=float)))
-    assert np.array_equal(rights, np.sort(np.array([iv.right for iv in dummy], dtype=float)))
+    for (values, counts), end in zip(runs(state), ("left", "right")):
+        kept = counts > 0  # a zero count, if kept, stands for no value
+        want = np.unique(np.array([getattr(iv, end) for iv in dummy], dtype=float),
+                         return_counts=True)
+        assert np.array_equal(values[kept], want[0]), end
+        assert np.array_equal(counts[kept], want[1]), end
+        assert (values[1:] > values[:-1]).all(), end
+
+
+def runs(state):
+    """The cached runs of the dummy lefts and of the dummy rights."""
+    return state._ends[:2], state._ends[2:]
 
 
 def _interval(rng, iid):
@@ -77,34 +91,52 @@ def _interval(rng, iid):
     return Interval(iid, a, b)
 
 
-def _count_audit(state, last: dict, seen: Counter) -> None:
-    """Tally the cases the audit met, against the rows at the last one."""
+def _small_int_interval(rng, iid):
+    # a fixed universe {0, ..., 15}: at most 16 distinct values per end
+    return Interval(iid, *sorted(rng.sample(range(16), 2)))
+
+
+def _count_audit(state, last: dict, seen: Counter, patched: bool) -> None:
+    """Tally the cases the audit met, against the rows and the runs at the
+    last audit; last["dropped"] keeps, per end, the values whose count fell
+    to 0 at some audit.  A count that falls to 0, or a value that comes
+    back, is tallied when the audit patched the runs."""
     now = {iid: (iv, state.color_of(iid)) for iid, iv in state.intervals.items()}
     for iid, (iv, color) in now.items():
-        if iid in last:
-            old_iv, old_color = last[iid]
+        if iid in last.get("rows", ()):
+            old_iv, old_color = last["rows"][iid]
             if old_color.is_dummy() != color.is_dummy():
                 seen["flip"] += 1
             elif color.is_dummy() and (old_iv.left, old_iv.right) != (iv.left, iv.right):
                 seen["dummy re-added"] += 1
     if any(c == SECOND_DUMMY for _, c in now.values()):
         seen["second dummy"] += 1
-    lefts, rights = state._ends
-    for ends in (lefts, rights):
-        if ends.size > 1 and (ends[1:] == ends[:-1]).any():
+    dummy = [iv for iv, c in now.values() if c.is_dummy()]
+    values = []
+    for side, ((vals, counts), end) in enumerate(zip(runs(state), ("left", "right"))):
+        if (counts > 1).any():
             seen["shared dummy ends"] += 1
-        zero = ends[ends == 0]
-        if np.signbit(zero).any() and not np.signbit(zero).all():
+        zero = [x for x in (getattr(iv, end) for iv in dummy) if x == 0]
+        if len({math.copysign(1, x) for x in zero}) == 2:
             seen["dummy -0.0 and 0.0"] += 1
-    last.clear()
-    last.update(now)
+        present = set(vals[counts > 0].tolist())
+        dropped = last.setdefault("dropped", (set(), set()))[side]
+        if patched and last.get("values") and last["values"][side] - present:
+            seen["dummy count reaches 0"] += 1
+        if patched and present & dropped:
+            seen["dummy value comes back"] += 1
+        if last.get("values"):
+            dropped |= last["values"][side] - present
+        values.append(present)
+    last["rows"] = now
+    last["values"] = values
 
 
-def _lockstep(seed: int, audits: int, seen: Counter) -> None:
+def _lockstep(seed: int, audits: int, seen: Counter, interval=_interval) -> None:
     rng = random.Random(seed)
     state = ColoringState()
     dead: list[int] = []
-    last: dict = {}  # id -> (interval, color) at the last audit
+    last: dict = {}  # the rows and the runs at the last audit
     next_id = 0
     for _ in range(audits):
         # mostly short stretches (the patch path), sometimes long enough
@@ -118,14 +150,14 @@ def _lockstep(seed: int, audits: int, seen: Counter) -> None:
                     seen["reuse"] += 1
                 else:
                     iid, next_id = next_id, next_id + 1
-                state.add(_interval(rng, iid))
+                state.add(interval(rng, iid))
                 if rng.random() < 0.95:
                     state.set_color(iid, rng.choice(PALETTE))
             elif roll < 0.45:
                 # the same id again, with new ends and mostly a dummy color
                 iid = rng.choice(live)
                 state.remove(iid)
-                state.add(_interval(rng, iid))
+                state.add(interval(rng, iid))
                 state.set_color(iid, rng.choice(PALETTE[:2] * 2 + PALETTE))
             elif roll < 0.7:
                 iid = rng.choice(live)
@@ -141,15 +173,18 @@ def _lockstep(seed: int, audits: int, seen: Counter) -> None:
                     state.remove(iid)
                 dead += live
         marked = state._marked
+        patched = False
         if state._cols is None:
             seen["build"] += 1
         elif len(marked) == marked.maxlen:
             seen["rebuild"] += 1
         elif marked:
             seen["patch"] += 1
+            patched = True
         seen["audits"] += 1
         fast, listed, sweep = outcomes(state)
         assert fast == listed == sweep, (seed, seen["audits"])
+        assert type(fast[1]) is type(listed[1]), (seed, seen["audits"])
         if isinstance(sweep, str):
             seen["uncolored"] += 1
             # the failed audit left the marks; color the stragglers
@@ -158,8 +193,9 @@ def _lockstep(seed: int, audits: int, seen: Counter) -> None:
                     state.set_color(iid, rng.choice(PALETTE))
             fast, listed, sweep = outcomes(state)
             assert fast == listed == sweep, (seed, seen["audits"])
+            assert type(fast[1]) is type(listed[1]), (seed, seen["audits"])
         check_cache(state)
-        _count_audit(state, last, seen)
+        _count_audit(state, last, seen, patched)
         if not state.intervals:
             seen["empty"] += 1
         elif all(c.is_dummy() for c in state.assignment.values()):
@@ -176,6 +212,16 @@ def test_cache_list_and_sweep_oracles_agree():
               "empty": 5, "all dummy": 5, "conflict": 300, "flip": 700,
               "dummy re-added": 90, "second dummy": 600,
               "shared dummy ends": 700, "dummy -0.0 and 0.0": 40}
+    assert all(seen[k] >= v for k, v in floors.items()), seen
+
+
+def test_integer_universe_runs_agree():
+    seen = Counter()
+    for seed in range(4):
+        _lockstep(100 + seed, 300, seen, _small_int_interval)
+    floors = {"patch": 700, "rebuild": 150, "conflict": 600, "flip": 800,
+              "dummy re-added": 70, "shared dummy ends": 800,
+              "dummy count reaches 0": 600, "dummy value comes back": 1100}
     assert all(seen[k] >= v for k, v in floors.items()), seen
 
 
@@ -246,6 +292,24 @@ def test_an_id_beyond_int64_takes_the_sweep():
     check_cache(state)
 
 
+def test_a_dummy_id_beyond_int64_needs_no_row():
+    # a dummy row is kept as its ends only, so no path converts its id:
+    # the cache and the list agree, witness type included, and a patch
+    # that meets the id keeps the cache
+    state = ColoringState()
+    for iid, (a, b) in ((2**70, (0, 4)), (1, (2, 6))):
+        state.add(Interval(iid, a, b))
+        state.set_color(iid, DUMMY)
+    for _ in range(2):
+        fast, listed, sweep = outcomes(state)
+        assert fast == listed == sweep == (False, 0, None)
+        assert type(fast[1]) is type(listed[1])
+        assert state._cols is not None
+        check_cache(state)
+        state.set_color(2**70, Color(0, 1))
+        state.set_color(2**70, DUMMY)
+
+
 def test_a_view_outliving_its_state_is_read_as_a_sequence():
     values = ColoringState().intervals.values()
     assert is_conflict_free_fast(values, {}).ok
@@ -270,5 +334,55 @@ def test_endpoints_beyond_float_precision_take_the_sweep():
     state.remove(1)
     state.remove(2)
     assert outcomes(state) == [(True, None, None)] * 3
+    assert state._cols is not None
+    check_cache(state)
+
+
+def test_fraction_ends_that_round_together_stay_apart():
+    # float64 rounds both 1/3 and 1/3 + 10**-30 onto 0.333...: the two
+    # intervals would meet there and share a color
+    third = Fraction(1, 3)
+    ivs = [Interval(0, 0, third), Interval(1, third + Fraction(1, 10**30), 1)]
+    assignment = {0: Color(0, 0), 1: Color(0, 0)}
+    assert is_conflict_free(ivs, assignment).ok
+    assert is_conflict_free_fast(ivs, assignment).ok
+    state = ColoringState()
+    for iv in ivs:
+        state.add(iv)
+        state.set_color(iv.id, assignment[iv.id])
+    assert outcomes(state) == [(True, None, None)] * 3
+    assert state._cols is None
+
+
+def test_a_fraction_end_keeps_the_state_on_the_sweep():
+    rng = random.Random(7)
+    state = ColoringState()
+    is_conflict_free_fast(state.intervals.values(), state.assignment)
+    assert state._cols is not None
+    # the inexact end drops the cache; no audit builds it while it is live
+    state.add(Interval(-1, Fraction(1, 3), 5))
+    state.set_color(-1, DUMMY)
+    assert state._cols is None
+    next_id = 0
+    for _ in range(20):
+        for _ in range(rng.choice((1, 5, 30))):
+            live = [i for i in state.intervals if i != -1]
+            if live and rng.random() < 0.3:
+                state.remove(rng.choice(live))
+            elif live and rng.random() < 0.3:
+                state.set_color(rng.choice(live), rng.choice(PALETTE))
+            else:
+                state.add(_interval(rng, next_id))
+                state.set_color(next_id, rng.choice(PALETTE))
+                next_id += 1
+        # a dyadic Fraction is a float64 and keeps no state on the sweep
+        state.add(Interval(next_id, Fraction(1, 2), 2))
+        state.set_color(next_id, rng.choice(PALETTE))
+        next_id += 1
+        fast, listed, sweep = outcomes(state)
+        assert fast == listed == sweep
+        assert state._cols is None
+    state.remove(-1)
+    assert outcomes(state)[0] == outcomes(state)[2]
     assert state._cols is not None
     check_cache(state)
