@@ -366,9 +366,9 @@ class ColoringState:
         out of the runs, and add fresh rows and counts for the marked ids
         still live, which also covers an id reused with new endpoints.
         Raises ValueError, and leaves the cache and the marks as they were,
-        when a live interval has no color.  Raises OverflowError when an id
-        or a color does not fit an int64 (_rows).  The caller makes sure no
-        live endpoint is inexact.
+        when a live interval has no color.  Raises OverflowError when a color
+        or a non-dummy row's id does not fit an int64 (_rows).  The caller
+        makes sure no live endpoint is inexact.
         """
         marked, live = self._marked, self._live
         if self._cols is None or len(marked) == marked.maxlen:
