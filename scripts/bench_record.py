@@ -7,9 +7,10 @@ Runs the checkout's own `benchmarks/run.py --workload all` once on each of
 the seeds 1 and 20261017 (the held-out one), at run.py's default length,
 and appends one entry to BENCH_<UTC date>.json in this repository's root,
 creating the file when missing.  An entry holds the checkout's commit and
-whether its tree had uncommitted changes, the seeds, the Python and numpy
-versions, and per seed each workload's last-line result from run.py:
-correct, attempted, failed and the metrics.  Exits 1 when a workload failed
+whether its tracked files other than the BENCH_*.json files had uncommitted
+changes, the seeds, the Python and numpy versions, and per seed each
+workload's last-line result from run.py: correct, attempted, failed and the
+metrics.  Exits 1 when a workload failed
 its output checks; the entry is written either way.
 """
 
@@ -35,6 +36,18 @@ def _git(checkout: Path, *args: str) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def _dirty(checkout: Path) -> bool | None:
+    """Whether the checkout's tracked files differ from its commit, the
+    BENCH_*.json trajectory files aside; None when git cannot tell.
+
+    Recording appends to this repository's BENCH file before a second
+    checkout is recorded, so that file must not mark the second entry.
+    """
+    status = _git(checkout, "status", "--porcelain", "--untracked-files=no",
+                  "--", ".", ":(exclude)BENCH_*.json")
+    return None if status is None else bool(status)
+
+
 def run_seed(checkout: Path, seed: int) -> dict:
     cmd = [sys.executable, str(checkout / "benchmarks" / "run.py"),
            "--workload", "all", "--seed", str(seed), "--trace", "0"]
@@ -53,10 +66,9 @@ def main(argv=None) -> int:
     checkout = parser.parse_args(argv).checkout.resolve()
     now = datetime.now(timezone.utc)
     out = REPO / f"BENCH_{now:%Y-%m-%d}.json"
-    status = _git(checkout, "status", "--porcelain", "--untracked-files=no")
     entry = {
         "commit": _git(checkout, "rev-parse", "HEAD"),
-        "dirty": None if status is None else bool(status),
+        "dirty": _dirty(checkout),
         "recorded_utc": now.isoformat(timespec="seconds"),
         "python": platform.python_version(),
         "numpy": np.__version__,

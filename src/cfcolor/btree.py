@@ -9,10 +9,15 @@ machinery serves integer universes and endpoint-multiset trees.
 Per slot at most two intervals are extreme: the one with the smallest left
 endpoint and the one with the largest right endpoint (ties: smaller id on
 the left role, larger coverage wins by smaller id on the right role).  The
-engines color extremes and park everything else on the dummy color.  Each
-slot's `Bucket` caches its extremes; `slot_extremes` stays the one rule.
-A bucket also names its owner node, so engines anchor an id at its bucket
-and a rebalance can move a whole bucket, cache and all, by re-pointing it.
+engines color extremes and park everything else on the dummy color;
+`slot_extremes` is the rule.  A slot's `Bucket` keeps its intervals in
+blocks, one per batch that arrived together, and each block keeps bounds
+on its two extremes, its greatest left end and its least right end.  A
+rebalance takes the members with an endpoint beyond a coordinate block by
+block: a block wholly beyond it moves as it is, and only a block that
+straddles it is split by a scan.  A bucket also names
+its owner node, so engines anchor an id at its bucket and a rebalance can
+move a whole bucket, blocks and all, by re-pointing it.
 """
 
 from __future__ import annotations
@@ -48,60 +53,300 @@ def _ident(key: Key) -> float:
     return key
 
 
-class Bucket:
-    """The intervals of one slot, by id, with their cached extremes and owner.
+class _Block:
+    """Intervals that arrived in a bucket together, by id, with bounds.
 
-    `node` is the node whose `buckets` list holds this bucket.  `lo`/`hi`
-    are None when unknown.  Otherwise no member ranks before `lo` by
-    (left, id) or before `hi` by (right, -id), so each is the slot's
-    extreme while still a member.  Removals are plain dict operations on
-    `members`; a removed extreme makes `extremes` rescan.  Bulk moves in go
-    through one `update` call per receiving bucket.
+    `lo` and `hi` bound the block's extremes: no member ranks before `lo`
+    by (left, id) or after `hi` by (right, -id).  Either may have left the
+    block and still bound it; one that is still a member is exact.  No
+    member's left end exceeds `lmax`, and no right end undercuts `rmin`.
+    All four are None when unknown.
     """
 
-    __slots__ = ("members", "lo", "hi", "node")
+    __slots__ = ("by_id", "lo", "hi", "lmax", "rmin")
+
+    def __init__(self, by_id: dict[int, Interval], bounds=(None,) * 4) -> None:
+        self.by_id = by_id
+        self.lo, self.hi, self.lmax, self.rmin = bounds
+
+    def add(self, iv: Interval) -> None:
+        self.by_id[iv.id] = iv
+        lo = self.lo
+        if lo is None:
+            if len(self.by_id) == 1:
+                self.lo = self.hi = iv
+                self.lmax, self.rmin = iv.left, iv.right
+            return
+        left, right = iv.left, iv.right
+        if left < lo.left or (left == lo.left and iv.id < lo.id):
+            self.lo = iv
+        elif left > self.lmax:
+            self.lmax = left
+        hi = self.hi
+        if right > hi.right or (right == hi.right and iv.id < hi.id):
+            self.hi = iv
+        elif right < self.rmin:
+            self.rmin = right
+
+    def ends(self) -> tuple[Interval, ...]:
+        """slot_extremes of the block's members, which are not none; an
+        extreme that left is found again by a scan of its end."""
+        lo, hi, by_id = self.lo, self.hi, self.by_id
+        if lo is None:
+            self._rescan()
+        else:
+            if by_id.get(lo.id) is not lo:
+                vals = list(by_id.values())
+                lefts = list(map(_left, vals))
+                self.lo, self.lmax = _smallest_id_at(vals, lefts, min), max(lefts)
+            if by_id.get(hi.id) is not hi:
+                vals = list(by_id.values())
+                rights = list(map(_right, vals))
+                self.hi, self.rmin = _smallest_id_at(vals, rights, max), min(rights)
+        lo, hi = self.lo, self.hi
+        return (lo,) if lo is hi else (lo, hi)
+
+    def _rescan(self) -> None:
+        vals = list(self.by_id.values())
+        lefts, rights = list(map(_left, vals)), list(map(_right, vals))
+        self.lo, self.lmax = _smallest_id_at(vals, lefts, min), max(lefts)
+        self.hi, self.rmin = _smallest_id_at(vals, rights, max), min(rights)
+
+    def _forget(self) -> None:
+        self.lo = self.hi = self.lmax = self.rmin = None
+
+    def cut(self, kind: int, x: float) -> _Block | None:
+        """Take out the members that `kind` selects at x, as a block: this
+        one when its bounds show all go, a new one when some go, None when
+        its bounds show none go or none do.  A split leaves both parts this
+        block's bounds, tightened by x."""
+        if self.lo is None:
+            self._rescan()
+        lo, hi, lmax, rmin = self.lo, self.hi, self.lmax, self.rmin
+        by_id = self.by_id
+        if kind == _LEFT_UPTO:
+            if lo.left > x:
+                return None
+            if lmax <= x:
+                return self
+            taken = {iid: iv for iid, iv in by_id.items() if iv.left <= x}
+            bounds = (lo, hi, x, rmin)
+        elif kind == _LEFT_ABOVE:
+            if lmax <= x:
+                return None
+            if lo.left > x:
+                return self
+            taken = {iid: iv for iid, iv in by_id.items() if iv.left > x}
+            bounds = (lo, hi, lmax, rmin)
+            self.lmax = x
+        elif kind == _RIGHT_BELOW:
+            if rmin >= x:
+                return None
+            if hi.right < x:
+                return self
+            taken = {iid: iv for iid, iv in by_id.items() if iv.right < x}
+            bounds = (lo, hi, lmax, rmin)
+            self.rmin = x
+        else:
+            if hi.right < x:
+                return None
+            if rmin >= x:
+                return self
+            taken = {iid: iv for iid, iv in by_id.items() if iv.right >= x}
+            bounds = (lo, hi, lmax, x)
+        if not taken:
+            return None
+        for iid in taken:
+            del by_id[iid]
+        return _Block(taken, bounds)
+
+
+_LEFT_UPTO, _LEFT_ABOVE, _RIGHT_BELOW, _RIGHT_FROM = range(4)
+
+# a bucket holding more blocks than this merges them into its own
+_MAX_BLOCKS = 8
+
+
+class Bucket(_Block):
+    """The intervals of one slot, in blocks, and the node that owns it.
+
+    The bucket is a block itself and may hold more: `adopt` hands it whole
+    blocks, `add_all` brings a batch in as one block, and `add` joins its
+    own.  A `take_*` call removes the members with an endpoint beyond a
+    coordinate and returns them as blocks: a block wholly beyond leaves
+    whole, a block wholly short stays untouched, and only a straddling
+    block is scanned and split.  So a rebalance costs the blocks it looks
+    at and the straddling blocks' members, and the members it moves only
+    their anchor writes.  `node` is the node whose `buckets` list holds
+    this bucket.
+    """
+
+    __slots__ = ("more", "node")
 
     def __init__(self, node: BNode | None = None) -> None:
-        self.members: dict[int, Interval] = {}
-        self.lo: Interval | None = None
-        self.hi: Interval | None = None
+        super().__init__({})
+        # the blocks beyond its own; a shared empty tuple while there are none
+        self.more: list[_Block] | tuple = ()
         self.node = node
 
-    def add(self, interval: Interval) -> None:
-        self.members[interval.id] = interval
-        lo, hi = self.lo, self.hi
-        if lo is not None:
-            if (interval.left, interval.id) < (lo.left, lo.id):
-                self.lo = interval
-            if (interval.right, -interval.id) > (hi.right, -hi.id):
-                self.hi = interval
+    def blocks(self) -> list[_Block]:
+        """The bucket's non-empty blocks, its own first."""
+        return [self, *self.more] if self.by_id else list(self.more)
 
-    def update(self, moved: dict[int, Interval]) -> None:
-        """One dict update of many new members.
+    @property
+    def members(self) -> dict[int, Interval]:
+        """The slot's intervals by id; read-only."""
+        if not self.more:
+            return self.by_id
+        out = dict(self.by_id)
+        for blk in self.more:
+            out.update(blk.by_id)
+        return out
 
-        A cache that still holds folds in the extremes of `moved`, one
-        min/max over the moved members; a stale one becomes unknown.
-        """
-        lo, hi, members = self.lo, self.hi, self.members
-        if lo is not None and not (members.get(lo.id) is lo and members.get(hi.id) is hi):
-            self.lo = self.hi = lo = None
-        members.update(moved)
-        if lo is not None and moved:
-            ext = slot_extremes(moved)
-            a, b = ext[0], ext[-1]
-            if (a.left, a.id) < (lo.left, lo.id):
-                self.lo = a
-            if (b.right, -b.id) > (hi.right, -hi.id):
-                self.hi = b
+    def size(self) -> int:
+        return len(self.by_id) + sum(len(blk.by_id) for blk in self.more)
+
+    def add_all(self, intervals: list[Interval]) -> None:
+        """Add many intervals whose ids are not members, as one block."""
+        if intervals:
+            self.adopt([_Block({iv.id: iv for iv in intervals})])
+
+    def adopt(self, blocks: list[_Block]) -> None:
+        """Take in whole blocks that no bucket holds; an empty bucket makes
+        the first its own."""
+        if not self.by_id and blocks:
+            first, blocks = blocks[0], blocks[1:]
+            self.by_id = first.by_id
+            self.lo, self.hi, self.lmax, self.rmin = first.lo, first.hi, first.lmax, first.rmin
+        if not blocks:
+            return
+        more = self.more = [*self.more, *blocks]
+        if len(more) > _MAX_BLOCKS:
+            merged = _merged([self, *more])
+            self.by_id = merged.by_id
+            self.lo, self.hi, self.lmax, self.rmin = merged.lo, merged.hi, merged.lmax, merged.rmin
+            self.more = ()
+
+    def discard(self, iid: int) -> Interval | None:
+        """Remove member iid and return it; None when it is no member."""
+        interval = self.by_id.pop(iid, None)
+        if interval is not None:
+            if not self.by_id:
+                self._forget()
+            return interval
+        more = self.more
+        for i, blk in enumerate(more):
+            interval = blk.by_id.pop(iid, None)
+            if interval is not None:
+                if not blk.by_id:
+                    self.more = [*more[:i], *more[i + 1:]] if len(more) > 1 else ()
+                return interval
+        return None
 
     def extremes(self) -> tuple[Interval, ...]:
-        """slot_extremes of the members, from the cache when it still holds."""
-        lo, hi, members = self.lo, self.hi, self.members
-        if lo is not None and members.get(lo.id) is lo and members.get(hi.id) is hi:
-            return (lo,) if lo is hi else (lo, hi)
-        ext = slot_extremes(members)
-        self.lo, self.hi = (ext[0], ext[-1]) if ext else (None, None)
-        return ext
+        """slot_extremes of the members, from the blocks' bounds."""
+        if not self.more:
+            lo, hi, by_id = self.lo, self.hi, self.by_id
+            if lo is not None and by_id.get(lo.id) is lo and by_id.get(hi.id) is hi:
+                return (lo,) if lo is hi else (lo, hi)
+            return self.ends() if by_id else ()
+        lo = hi = None
+        for blk in self.blocks():
+            ext = blk.ends()
+            a, b = ext[0], ext[-1]
+            if lo is None or (a.left, a.id) < (lo.left, lo.id):
+                lo = a
+            if hi is None or (b.right, -b.id) > (hi.right, -hi.id):
+                hi = b
+        return (lo,) if lo is hi else (lo, hi)
+
+    def take_left_upto(self, x: float) -> list[_Block]:
+        """Remove and return the members with left <= x."""
+        return self._take(_LEFT_UPTO, x)
+
+    def take_left_above(self, x: float) -> list[_Block]:
+        """Remove and return the members with left > x."""
+        return self._take(_LEFT_ABOVE, x)
+
+    def take_right_below(self, x: float) -> list[_Block]:
+        """Remove and return the members with right < x."""
+        return self._take(_RIGHT_BELOW, x)
+
+    def take_right_from(self, x: float) -> list[_Block]:
+        """Remove and return the members with right >= x."""
+        return self._take(_RIGHT_FROM, x)
+
+    def release(self) -> list[_Block]:
+        """Empty the bucket and return its blocks."""
+        blocks = [self._own()] if self.by_id else []
+        blocks += self.more
+        self.more = ()
+        return blocks
+
+    def _own(self) -> _Block:
+        """Hand out the bucket's own block, leaving it empty."""
+        own = _Block(self.by_id, (self.lo, self.hi, self.lmax, self.rmin))
+        self.by_id = {}
+        self._forget()
+        return own
+
+    def _take(self, kind: int, x: float) -> list[_Block]:
+        taken: list[_Block] = []
+        if self.by_id:
+            part = self.cut(kind, x)
+            if part is self:
+                taken.append(self._own())
+            elif part is not None:
+                taken.append(part)
+                if not self.by_id:
+                    self._forget()
+        more = self.more
+        if more:
+            kept = []
+            for blk in more:
+                part = blk.cut(kind, x)
+                if part is not None:
+                    taken.append(part)
+                if part is not blk and blk.by_id:
+                    kept.append(blk)
+            self.more = kept or ()
+        return taken
+
+    def audit(self) -> None:
+        """Raise InvariantError unless every extra block is non-empty and
+        each known bound bounds its block."""
+        for blk in self.more:
+            if not blk.by_id:
+                raise InvariantError("empty block in a bucket")
+        for blk in self.blocks():
+            if blk.lo is None:
+                continue
+            exact = _Block(blk.by_id)
+            exact._rescan()
+            if not (_left_key(blk.lo) <= _left_key(exact.lo)
+                    and _right_key(blk.hi) >= _right_key(exact.hi)
+                    and blk.lmax >= exact.lmax and blk.rmin <= exact.rmin):
+                raise InvariantError("block bounds stale")
+
+
+def _merged(blocks: list[_Block]) -> _Block:
+    """One block holding the members of all, with their combined bounds."""
+    by_id: dict[int, Interval] = {}
+    for blk in blocks:
+        by_id.update(blk.by_id)
+    if any(blk.lo is None for blk in blocks):
+        return _Block(by_id)
+    lo = min((blk.lo for blk in blocks), key=_left_key)
+    hi = max((blk.hi for blk in blocks), key=_right_key)
+    return _Block(by_id, (lo, hi, max(blk.lmax for blk in blocks),
+                          min(blk.rmin for blk in blocks)))
+
+
+_left_key = attrgetter("left", "id")
+
+
+def _right_key(interval: Interval) -> tuple[float, int]:
+    return interval.right, -interval.id
 
 
 class BNode:
@@ -197,7 +442,7 @@ def iter_nodes(root: BNode) -> Iterator[BNode]:
 
 
 def node_pool(node: BNode) -> list[Interval]:
-    return [iv for bucket in node.buckets for iv in bucket.members.values()]
+    return [iv for bucket in node.buckets for blk in bucket.blocks() for iv in blk.by_id.values()]
 
 
 def slot_extremes(members: dict[int, Interval]) -> tuple[Interval, ...]:
@@ -226,7 +471,7 @@ def _smallest_id_at(vals: list[Interval], ends: list[float], pick) -> Interval:
 def node_extremes(node: BNode) -> list[Interval]:
     out: list[Interval] = []
     for bucket in node.buckets:
-        if bucket.members:
+        if bucket.by_id or bucket.more:
             out.extend(bucket.extremes())
     return out
 

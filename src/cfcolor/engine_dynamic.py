@@ -6,25 +6,27 @@ unique highest node holding a key they contain, and each id is anchored at
 its `Bucket`, which names its owner node.  Rebalancing (split, merge,
 borrow, separator swap) moves keys between nodes, and buckets move with
 their keys: a split re-points the median's bucket and those right of it,
-a merge the right child's buckets and the larger part of the separator's.
-That costs O(buckets) and keeps their extremes caches.  The other
-intervals whose anchor can change are taken out of their buckets, the key
-surgery runs, and each lands at the slot the surgery leaves it: a split,
-merge or borrow knows it from a comparison with the moved keys, a
-separator swap locates it from the node whose key changed.  Such moves
-are plain dict operations, one `Bucket.update` per receiving bucket that
-folds the moved extremes into its cache, and one bulk anchor write.
-Every node whose bucket content may have changed is rechained: its
-per-slot extreme intervals get a fresh chain coloring from the node's
-2-color level palette, and of the rest only the intervals that may still
-wear a color go dummy: the node's chained set (from `LevelPaletteTree`)
-and the intervals that moved in during the update.  The movers of a whole
-bucket that may wear a color are among the old node's chained ids and
-arrivals, so no moved bucket is scanned for them.  So an update assigns
-colors to a node's extremes and the intervals that moved, never to its
-whole pool.  The palette rule, the chain coloring, the chained sets and
-the per-node audit come from `LevelPaletteTree` in `engine_fixed`, shared
-with the fixed-universe engines.
+a merge the right child's buckets and the separator's, which keeps the
+intervals that sink to the separator's own slot.  The other intervals
+whose anchor can change are taken out of their buckets by range -- those
+reaching a key, starting by it, or missing it -- the key surgery runs,
+and each lands at the slot the surgery leaves it: a split, merge or borrow
+knows it from a comparison with the moved keys, a separator swap locates
+it from the node whose key changed.  A bucket holds its intervals in
+blocks with cached bounds, so a range take hands whole blocks over and
+scans only a block that straddles the range's end; the moved intervals
+cost one anchor write each.  Every node whose bucket content may have
+changed is rechained: its per-slot extreme intervals get a fresh chain
+coloring from the node's 2-color level palette, and of the rest only the
+intervals that may still wear a color go dummy: the node's chained set
+(from `LevelPaletteTree`) and the intervals that moved in during the
+update.  The movers of a whole bucket that may wear a color are among the
+old node's chained ids and arrivals, so no moved bucket is scanned for
+them.  So an update assigns colors to a node's extremes and the intervals
+that moved, never to its whole pool.  The palette rule, the chain
+coloring, the chained sets and the per-node audit come from
+`LevelPaletteTree` in `engine_fixed`, shared with the fixed-universe
+engines.
 
 The epsilon variant rebuilds the whole tree with minimum degree about
 n^eps whenever the live count leaves [n_last/2, 2*n_last]; recolorings
@@ -61,22 +63,48 @@ def _coord(key: tuple[float, int, int]) -> float:
 _NOWHERE = Bucket()
 
 
-def _land(staged, parent: BNode, slot: int, child: BNode):
-    """Where intervals land that contain a key of child but none of parent
-    before parent.keys[slot]: those that contain that key stay at parent,
-    the others go to child at their leftmost key there.
+def _land(bucket: Bucket, parent: BNode, slot: int, child: BNode, keep: int | None = None):
+    """Take out of bucket where its intervals land, when each contains a key
+    of child but none of parent before parent.keys[slot]: those that
+    contain that key stay at parent, the others go to child at their
+    leftmost key there.  Those bound for child slot `keep` stay in bucket.
 
-    Returns the staying ones by id, and the others by child slot and id.
+    The staying ones are those reaching the key; each child slot takes those
+    starting by its key's coordinate, in turn.  Returns the staying blocks,
+    and the others by child slot.
     """
     nxt = parent.keys[slot][0] if slot < len(parent.keys) else math.inf
+    stay = bucket.take_right_from(nxt)
     coords = [k[0] for k in child.keys]
-    stay, sink = {}, defaultdict(dict)
-    for iv in staged:
-        if iv.right >= nxt:
-            stay[iv.id] = iv
-        else:
-            sink[bisect_left(coords, iv.left)][iv.id] = iv
+    sink = {}
+    while ext := bucket.extremes():
+        at = bisect_left(coords, ext[0].left)
+        if at == keep:
+            break
+        sink[at] = bucket.take_left_upto(coords[at])
     return stay, sink
+
+
+def _take_containing(node: BNode, x: float) -> list:
+    """Remove from node's buckets the intervals containing x; return them.
+
+    A bucket's intervals contain its key, so of those at a key at or left of
+    x the ones reaching x contain it, and of the others those starting by x.
+    """
+    return [blk for key, bucket in zip(node.keys, node.buckets)
+            for blk in (bucket.take_right_from(x) if key[0] <= x else bucket.take_left_upto(x))]
+
+
+def _take_missing(bucket: Bucket, key: float, x: float) -> list:
+    """Remove from bucket, whose intervals contain coordinate key, the
+    intervals not containing x; return them."""
+    if x < key:
+        return bucket.take_left_above(x)
+    return bucket.take_right_below(x)
+
+
+def _ids(blocks) -> list[int]:
+    return [iid for blk in blocks for iid in blk.by_id]
 
 
 class _Batch:
@@ -119,7 +147,7 @@ class DynamicEngine(LevelPaletteTree):
         interval = self.state.begin_delete(iid)
         # disassociate first so the dying interval never migrates
         bucket = self._anchor.pop(iid)
-        if bucket.members.pop(iid, None) is None:
+        if bucket.discard(iid) is None:
             raise InvariantError(f"interval {iid} not bucketed at its anchor")
         home = bucket.node
         self.state.remove(iid)
@@ -186,11 +214,7 @@ class DynamicEngine(LevelPaletteTree):
             bucket.node = right
         median = child.buckets[t - 1]  # these contain the median key itself
         median.node = parent
-        up = {}
-        for bucket in child.buckets[: t - 1]:
-            members = bucket.members
-            for iid in [iid for iid, iv in members.items() if iv.right >= mid]:
-                up[iid] = members.pop(iid)
+        up = [blk for bucket in child.buckets[: t - 1] for blk in bucket.take_right_from(mid)]
         child.keys = child.keys[: t - 1]
         child.buckets = child.buckets[: t - 1]
         if child.children:
@@ -221,7 +245,7 @@ class DynamicEngine(LevelPaletteTree):
                     # a leaf's intervals hold their own keys there, so the
                     # next key is inside every interval the gone key was
                     gone = v.buckets.pop(pos)
-                    if gone.members:
+                    if gone.by_id or gone.more:
                         if pos == len(v.keys):
                             raise InvariantError(
                                 f"interval {next(iter(gone.members))} loses its last key")
@@ -266,8 +290,9 @@ class DynamicEngine(LevelPaletteTree):
 
         # sep's intervals that contain up_key keep their slot; the sibling's
         # that contain it rise into that slot
-        staged = self._take_missing(parent.buckets[si], up_key[0])
-        risen = self._take_containing(sib, up_key[0])
+        staged = Bucket()
+        staged.adopt(_take_missing(parent.buckets[si], sep[0], up_key[0]))
+        risen = _take_containing(sib, up_key[0])
 
         # the sibling's bucket of up_key has risen whole; no interval
         # anchored at the child contains sep, so its new bucket starts empty
@@ -292,9 +317,9 @@ class DynamicEngine(LevelPaletteTree):
         stay, sink = _land(staged, parent, si + 1, child)
         if stay:
             self._move(parent.buckets[si + 1], stay)
-        for slot, ivs in sink.items():
-            self._arrive(child, ivs, batch)
-            self._move(child.buckets[slot], ivs)
+        for slot, blocks in sink.items():
+            self._arrive(child, _ids(blocks), batch)
+            self._move(child.buckets[slot], blocks)
         batch.touched.update((parent, sib, child))
 
     def _merge_children(self, parent: BNode, si: int, batch: _Batch) -> BNode:
@@ -306,24 +331,16 @@ class DynamicEngine(LevelPaletteTree):
         sep_bucket = parent.buckets.pop(si)
         parent.children.pop(si + 1)
         # sep's intervals that contain parent's next key stay, now in its
-        # slot; the others sink into left, which receives sep
+        # slot; the others sink into left, which receives sep; those whose
+        # leftmost key there is sep keep the bucket
         left.keys.append(sep)
-        stay, sink = _land(sep_bucket.members.values(), parent, si, left)
-        down = sink.pop(len(left.keys) - 1, {})
-        # the larger of the staying part and the part that sinks to sep's
-        # slot keeps the bucket
-        if len(down) > len(stay):
-            sep_bucket.members, sep_bucket.node, mid = down, left, sep_bucket
-            if stay:
-                self._move(parent.buckets[si], stay)
-        else:
-            sep_bucket.members, mid = stay, Bucket(left)
-            if stay:
-                self._absorb(parent, si, sep_bucket)
-            self._move(mid, down)
-        left.buckets.append(mid)
-        for slot, ivs in sink.items():
-            self._move(left.buckets[slot], ivs)
+        stay, sink = _land(sep_bucket, parent, si, left, keep=len(left.keys) - 1)
+        if stay:
+            self._move(parent.buckets[si], stay)
+        sep_bucket.node = left
+        left.buckets.append(sep_bucket)
+        for slot, blocks in sink.items():
+            self._move(left.buckets[slot], blocks)
 
         # no interval anchored at either child contains sep; right's
         # buckets move whole
@@ -365,8 +382,9 @@ class DynamicEngine(LevelPaletteTree):
             w = w.children[0] if successor else w.children[-1]
         swap_key = spine[-1].keys[0] if successor else spine[-1].keys[-1]
 
-        staged = self._take_missing(v.buckets[pos], swap_key[0])
-        risen = [iv for node in spine for iv in self._take_containing(node, swap_key[0])]
+        staged = [iv for blk in _take_missing(v.buckets[pos], v.keys[pos][0], swap_key[0])
+                  for iv in blk.by_id.values()]
+        risen = [blk for node in spine for blk in _take_containing(node, swap_key[0])]
         batch.touched.update(spine)  # staging may have changed their extremes
 
         self._delete_key_from(subtree, swap_key, batch)
@@ -378,19 +396,21 @@ class DynamicEngine(LevelPaletteTree):
 
     # ----------------------------------------------------- bucket plumbing
 
-    def _move(self, bucket: Bucket, moved: dict[int, Interval]) -> None:
-        """Bucket moved intervals in one update and anchor them there."""
-        bucket.update(moved)
-        self._anchor.update(dict.fromkeys(moved, bucket))
+    def _move(self, bucket: Bucket, blocks: list) -> None:
+        """Hand blocks to a bucket whole and anchor their ids there."""
+        bucket.adopt(blocks)
+        anchor = self._anchor
+        for blk in blocks:
+            anchor.update(dict.fromkeys(blk.by_id, bucket))
 
     def _absorb(self, node: BNode, slot: int, other: Bucket) -> None:
         """Merge bucket `other`, already out of node's list, into the one at
         slot: the smaller moves into the larger, which takes the slot."""
         into = node.buckets[slot]
-        if len(other.members) > len(into.members):
+        if other.size() > into.size():
             into, other = other, into
             node.buckets[slot] = into
-        self._move(into, other.members)
+        self._move(into, other.release())
 
     def _rebucket(self, node: BNode, pos: int) -> None:
         """keys[pos] is new at node: move into its bucket the intervals of
@@ -400,27 +420,14 @@ class DynamicEngine(LevelPaletteTree):
         every other bucket keep theirs.
         """
         if pos + 1 < len(node.keys):
-            x = node.keys[pos][0]
-            nxt = node.buckets[pos + 1].members
-            moved = [iid for iid, iv in nxt.items() if iv.left <= x]
+            moved = node.buckets[pos + 1].take_left_upto(node.keys[pos][0])
             if moved:
-                self._move(node.buckets[pos], {iid: nxt.pop(iid) for iid in moved})
+                self._move(node.buckets[pos], moved)
 
-    def _take_containing(self, node: BNode, x: float) -> list[Interval]:
-        """Remove from node's buckets the intervals containing x; return them."""
-        hits = [(bucket.members, iid) for bucket in node.buckets
-                for iid, iv in bucket.members.items() if iv.left <= x <= iv.right]
-        return [members.pop(iid) for members, iid in hits]
-
-    def _take_missing(self, bucket: Bucket, x: float) -> list[Interval]:
-        """Remove from bucket the intervals not containing x; return them."""
-        missing = [iid for iid, iv in bucket.members.items() if not iv.left <= x <= iv.right]
-        return [bucket.members.pop(iid) for iid in missing]
-
-    def _rise(self, node: BNode, slot: int, risen: list[Interval], batch: _Batch) -> None:
-        """Bucket at node's slot the intervals taken from below it."""
-        self._move(node.buckets[slot], {iv.id: iv for iv in risen})
-        self._arrive(node, [iv.id for iv in risen], batch)
+    def _rise(self, node: BNode, slot: int, risen: list, batch: _Batch) -> None:
+        """Bucket at node's slot the blocks taken from below it."""
+        self._move(node.buckets[slot], risen)
+        self._arrive(node, _ids(risen), batch)
 
     def _arrive(self, node: BNode, ids, batch: _Batch) -> None:
         """Note the ids not wearing dummy as arrivals at node.
@@ -448,15 +455,16 @@ class DynamicEngine(LevelPaletteTree):
     def _relocate(self, staged: list[Interval], start: BNode, batch: _Batch) -> None:
         """Bucket staged intervals anew at or below start: start's ancestors
         kept their keys, so none of them holds a key inside one."""
-        moved = defaultdict(dict)
+        moved = defaultdict(list)
         for iv in staged:
             v, slot = locate(start, iv, _coord)
-            moved[v.buckets[slot]][iv.id] = iv
+            moved[v.buckets[slot]].append(iv)
         for bucket, ivs in moved.items():
             v = bucket.node
             if v is not start:
-                self._arrive(v, ivs, batch)
-            self._move(bucket, ivs)
+                self._arrive(v, [iv.id for iv in ivs], batch)
+            bucket.add_all(ivs)
+            self._anchor.update(dict.fromkeys([iv.id for iv in ivs], bucket))
             batch.touched.add(v)
 
     # ------------------------------------------------------------ coloring
@@ -531,12 +539,14 @@ class EpsilonEngine(DynamicEngine):
         self.root, _ = build_tree(keys, self.t)
         self._anchor.clear()
         self._chained.clear()
+        fill = defaultdict(list)
         for iid in sorted(self.state.intervals):
             iv = self.state.intervals[iid]
             v, slot = locate(self.root, iv, _coord)
-            bucket = v.buckets[slot]
-            bucket.add(iv)
-            self._anchor[iid] = bucket
+            bucket = self._anchor[iid] = v.buckets[slot]
+            fill[bucket].append(iv)
+        for bucket, ivs in fill.items():
+            bucket.add_all(ivs)
         for v in iter_nodes(self.root):
             pool = [iv.id for iv in node_pool(v)]
             self._chain_extremes(v, node_extremes(v), pool, rebuild=True)

@@ -9,8 +9,9 @@ base class holds the palette rule, the color bound, chain-coloring a node's
 extremes, the per-node audit and the chained set: per node, the ids
 anchored there that wear one of its level colors.  Only those ids and the
 node's extremes can need a new color when the node is rechained.  All
-engines read extremes from the `btree.Bucket` caches, and anchor every live
-id at the `Bucket` holding it; a bucket names its owner node.
+engines read extremes from the bounds the `btree.Bucket` blocks keep, and
+anchor every live id at the `Bucket` holding it; a bucket names its owner
+node.
 
 Over a fixed integer universe {0, ..., U-1} the B-tree skeleton is built
 once and never changes, so updates only move intervals in and out of
@@ -113,19 +114,22 @@ class LevelPaletteTree:
     def audit(self) -> None:
         """Check the framework invariants on every node.
 
-        Per node: the cached extremes match a scan, only level-palette
-        colors appear, non-extremes are dummy, the node's own intervals are
-        locally conflict-free, and each one wearing a color is in the
-        node's chained set.  Every live interval is bucketed at exactly one
+        Per node: each bucket's block bounds bound their blocks, its
+        extremes match a scan, only level-palette colors appear,
+        non-extremes are dummy, the node's own intervals are locally
+        conflict-free, and each one wearing a color is in the node's chained
+        set.  Every live interval is bucketed at exactly one
         node, its anchor entry is that bucket, and every bucket's owner is
         the node holding it.
         """
         validate_structure(self.root, self.t)
         seen: set[int] = set()
         for v in iter_nodes(self.root):
+            for bucket in v.buckets:
+                bucket.audit()
             slot_ext = [slot_extremes(bucket.members) for bucket in v.buckets]
             if [bucket.extremes() for bucket in v.buckets] != slot_ext:
-                raise InvariantError(f"extremes cache stale at a level-{v.level} node")
+                raise InvariantError(f"bucket extremes wrong at a level-{v.level} node")
             ext_ids = {iv.id for ext in slot_ext for iv in ext}
             pool = node_pool(v)
             colors = {}
@@ -233,7 +237,7 @@ class FixedDistinctEngine(_FixedBase):
         bucket = self._anchor.pop(iid)
         v = bucket.node
         old_ids = {iv.id for iv in bucket.extremes()}
-        del bucket.members[iid]
+        bucket.discard(iid)
         self.state.remove(iid)
         chained = self._chained[v]
         chained.discard(iid)
@@ -268,7 +272,7 @@ class FixedChainEngine(_FixedBase):
     def delete(self, iid: int) -> None:
         self.state.begin_delete(iid)
         bucket = self._anchor.pop(iid)
-        del bucket.members[iid]
+        bucket.discard(iid)
         v = bucket.node
         self.state.remove(iid)
         self._chained.get(v, set()).discard(iid)

@@ -118,19 +118,19 @@ def covered_dummy(eng):
                 if w is v:
                     continue
                 for bucket in w.buckets:
-                    members = bucket.members
-                    if any(e.left < iv.left and iv.right < e.right for e in members.values()):
-                        return iv, members
+                    if any(e.left < iv.left and iv.right < e.right
+                           for e in bucket.members.values()):
+                        return iv, bucket
     raise AssertionError("no dummy interval covered at another node")
 
 
 def test_interval_bucketed_at_a_second_node(name):
     eng = populated(name)
     # the copy stays a dummy non-extreme and breaks neither local
-    # conflict-freeness nor the bucket's cached extremes, so only the
-    # one-bucket rule can object
-    iv, members = covered_dummy(eng)
-    members[iv.id] = iv
+    # conflict-freeness nor the bucket's bounds, so only the one-bucket
+    # rule can object
+    iv, bucket = covered_dummy(eng)
+    bucket.add(iv)
     with pytest.raises(InvariantError, match="bucketed twice"):
         eng.audit()
 
@@ -197,15 +197,17 @@ def test_stale_extremes_cache(name):
     eng = populated(name)
     for v in iter_nodes(eng.root):
         for bucket in v.buckets:
-            ext = bucket.extremes()
-            others = [iv for iv in bucket.members.values() if iv not in ext]
-            if others:
-                # a member, so only the cache-versus-scan check can object
-                bucket.lo = others[0]
-                with pytest.raises(InvariantError, match="extremes cache"):
-                    eng.audit()
-                return
-    raise AssertionError("no bucket with a non-extreme")
+            for blk in bucket.blocks():
+                ext = blk.ends()
+                others = [iv for iv in blk.by_id.values() if iv not in ext]
+                if others:
+                    # a member ranking after the block's least, so only the
+                    # bound-versus-scan check can object
+                    blk.lo = others[0]
+                    with pytest.raises(InvariantError, match="block bounds stale"):
+                        eng.audit()
+                    return
+    raise AssertionError("no block with a non-extreme")
 
 
 def test_colored_interval_missing_from_chained_set(name):

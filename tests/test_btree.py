@@ -1,11 +1,14 @@
 """Bulk-built B-tree skeleton: shape, ordering, anchoring, bucket extremes."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfcolor import Interval
 from cfcolor.btree import (
+    BNode,
     Bucket,
     build_tree,
     iter_nodes,
@@ -16,6 +19,7 @@ from cfcolor.btree import (
     slot_extremes,
     validate_structure,
 )
+from cfcolor.engine_dynamic import _land, _take_containing, _take_missing
 
 
 def inorder(node):
@@ -168,30 +172,53 @@ class TestExtremes:
         assert ids == [1, 2]
 
 
-# small coordinates, so that lefts and rights tie often
-_spans = st.tuples(st.integers(0, 4), st.integers(1, 4)).map(lambda p: (p[0], p[0] + p[1]))
+# Buckets hold intervals that contain their key; here every span contains
+# coordinate 4, and the small integer ends tie often.
+_spans = st.tuples(st.integers(0, 4), st.integers(4, 8)).filter(lambda p: p[0] < p[1])
+_coords = st.integers(-1, 9)
+_kinds = st.sampled_from(["left_upto", "left_above", "right_below", "right_from",
+                          "containing", "missing", "land"])
 _moves = st.one_of(
     st.tuples(st.just("add"), st.integers(0, 1), _spans),
     st.tuples(st.just("remove"), st.integers(0, 1), st.integers(0, 30)),
     st.tuples(st.just("bulk_add"), st.integers(0, 1), st.lists(_spans, max_size=5)),
-    st.tuples(st.just("take"), st.integers(0, 1), st.integers(0, 8)),
-    st.tuples(st.just("move"), st.integers(0, 1), st.integers(0, 8)),
+    st.tuples(_kinds, st.integers(0, 1), st.tuples(_coords, st.booleans())),
 )
-# a step of several moves leaves the cache unread in between, so adds
-# meet cached extremes that have already left
 _steps = st.lists(st.lists(_moves, min_size=1, max_size=3), max_size=25)
+
+# the dict filter each range query must match
+_FILTERS = {
+    "left_upto": lambda iv, x: iv.left <= x,
+    "left_above": lambda iv, x: iv.left > x,
+    "right_below": lambda iv, x: iv.right < x,
+    "right_from": lambda iv, x: iv.right >= x,
+    "containing": lambda iv, x: iv.left <= x <= iv.right,
+    "missing": lambda iv, x: not iv.left <= x <= iv.right,
+}
+
+
+def ids(blocks):
+    return sorted(iid for blk in blocks for iid in blk.by_id)
+
+
+def one_slot_node(bucket, key=4):
+    """A node whose one key, at coordinate `key`, holds `bucket`."""
+    node = BNode(0)
+    node.keys, node.buckets = [(key, 0, 0)], [bucket]
+    bucket.node = node
+    return node
 
 
 class TestBucket:
-    """The cached extremes of a Bucket against the slot_extremes scan."""
+    """A Bucket's blocks, bounds and range takes against plain dict filters
+    and the slot_extremes scan."""
 
     def test_add_keeps_tie_rules(self):
         b = Bucket()
         b.add(Interval(5, 0, 4))
-        assert [iv.id for iv in b.extremes()] == [5]  # now cached
+        assert [iv.id for iv in b.extremes()] == [5]
         for iv in (Interval(3, 0, 4), Interval(4, 1, 4)):
             b.add(iv)
-        assert (b.lo.id, b.hi.id) == (3, 3)
         assert [iv.id for iv in b.extremes()] == [3]
         assert b.extremes() == slot_extremes(b.members)
 
@@ -200,7 +227,8 @@ class TestBucket:
         b.add(Interval(1, 0, 3))
         b.add(Interval(2, 1, 5))
         b.add(Interval(3, 2, 4))
-        del b.members[1]
+        assert b.discard(1) == Interval(1, 0, 3)
+        assert b.discard(1) is None
         assert [iv.id for iv in b.extremes()] == [2]
 
     def test_reused_id_is_not_mistaken_for_the_cached_extreme(self):
@@ -208,34 +236,45 @@ class TestBucket:
         b.add(Interval(1, 0, 3))
         b.add(Interval(2, 1, 5))
         assert [iv.id for iv in b.extremes()] == [1, 2]
-        b.members[1] = Interval(1, 2, 3)
+        b.discard(1)
+        b.add(Interval(1, 2, 3))
         assert b.extremes() == slot_extremes(b.members)
+        b.audit()
 
-    def test_update_folds_into_a_known_cache(self):
+    def test_take_moves_whole_blocks_untouched(self):
         b = Bucket()
-        b.add(Interval(1, 2, 5))
-        b.extremes()
-        b.update({2: Interval(2, 1, 3), 3: Interval(3, 3, 9), 4: Interval(4, 2, 4)})
-        assert (b.lo.id, b.hi.id) == (2, 3)
-        assert b.extremes() == slot_extremes(b.members)
+        b.add_all([Interval(1, 0, 5), Interval(2, 1, 6)])
+        b.add_all([Interval(3, 2, 9), Interval(4, 3, 8)])
+        near, far = b.blocks()
+        taken = b.take_right_from(7)
+        # the far block lies wholly beyond 7 and leaves as it is; the near
+        # one lies wholly short and stays
+        assert taken == [far] and taken[0].by_id is far.by_id
+        assert b.blocks() == [b] and b.by_id is near.by_id
+        assert ids(b.take_right_from(10)) == []
+        b.audit()
 
-    def test_update_into_a_stale_cache_leaves_it_unknown(self):
+    def test_straddling_block_is_split_with_its_bounds(self):
         b = Bucket()
-        b.add(Interval(1, 0, 3))
-        b.add(Interval(2, 1, 5))
-        b.extremes()
-        del b.members[1]
-        b.update({3: Interval(3, 2, 4)})
-        assert b.lo is None and b.hi is None
-        assert [iv.id for iv in b.extremes()] == [2]
+        b.add_all([Interval(1, 0, 5), Interval(2, 1, 9), Interval(3, 2, 6)])
+        assert [iv.id for iv in b.extremes()] == [1, 2]
+        (part,) = b.take_right_from(6)
+        assert sorted(part.by_id) == [2, 3] and sorted(b.members) == [1]
+        # the bounds carried over still bound both parts
+        assert part.hi.id == 2 and b.hi.id == 2
+        b.audit()
+        assert [iv.id for iv in b.extremes()] == [1]
+        assert part.ends() == slot_extremes(part.by_id)
 
     @settings(max_examples=300, deadline=None)
     @given(_steps)
     def test_cache_matches_scan_after_every_step(self, steps):
-        """Single adds, plain dict removals, and bulk moves in through one
-        update call per receiving bucket.  A bulk update into a cache that
-        still holds keeps it known, and equal to the scan without a rescan."""
+        """Single adds, removals, bulk adds, and every range query of the
+        engine: the taken ids equal the dict filter, and go to the other
+        bucket whole or are dropped.  After each step every bucket's
+        extremes equal the slot_extremes scan and its bounds bound it."""
         buckets = [Bucket(), Bucket()]
+        model = [{}, {}]
         next_id = 0
 
         def fresh(span):
@@ -243,31 +282,58 @@ class TestBucket:
             next_id += 1
             return Interval(next_id, *span)
 
-        def holds(b):
-            return b.lo is not None and b.members.get(b.lo.id) is b.lo \
-                and b.members.get(b.hi.id) is b.hi
-
-        def bulk(b, moved):
-            held = holds(b)
-            b.update(moved)
-            if held:
-                ext = slot_extremes(b.members)
-                assert (b.lo, b.hi) == (ext[0], ext[-1])
-
         for step in steps:
             for kind, k, arg in step:
-                b, other = buckets[k], buckets[1 - k]
+                b, m = buckets[k], model[k]
                 if kind == "add":
-                    b.add(fresh(arg))
-                elif kind == "remove" and b.members:
-                    del b.members[sorted(b.members)[arg % len(b.members)]]
+                    iv = fresh(arg)
+                    b.add(iv)
+                    m[iv.id] = iv
+                elif kind == "remove":
+                    iid = sorted(m)[arg % len(m)] if m else arg
+                    assert b.discard(iid) is m.pop(iid, None)
                 elif kind == "bulk_add":
-                    bulk(b, {iv.id: iv for iv in map(fresh, arg)})
-                elif kind == "take":
-                    for iid in [iid for iid, iv in b.members.items() if iv.contains(arg)]:
-                        b.members.pop(iid)
-                elif kind == "move":
-                    moved = [iid for iid, iv in b.members.items() if iv.right >= arg]
-                    bulk(other, {iid: b.members.pop(iid) for iid in moved})
-            for bucket in buckets:
-                assert bucket.extremes() == slot_extremes(bucket.members)
+                    ivs = [fresh(span) for span in arg]
+                    b.add_all(ivs)
+                    m.update((iv.id, iv) for iv in ivs)
+                else:
+                    x, move = arg
+                    if kind == "land":
+                        taken = self.check_land(b, m, x)
+                    else:
+                        taken = self.take(kind, b, x)
+                        assert ids(taken) == sorted(
+                            iid for iid, iv in m.items() if _FILTERS[kind](iv, x))
+                    moved = {iid: m.pop(iid) for iid in ids(taken)}
+                    if move:
+                        buckets[1 - k].adopt(taken)
+                        model[1 - k].update(moved)
+            for b, m in zip(buckets, model):
+                assert b.members == m and b.size() == len(m)
+                b.audit()
+                assert b.extremes() == slot_extremes(m)
+
+    @staticmethod
+    def take(kind, b, x):
+        if kind == "containing":
+            return _take_containing(one_slot_node(b), x)
+        if kind == "missing":
+            return _take_missing(b, 4, x)
+        return getattr(b, "take_" + kind)(x)
+
+    @staticmethod
+    def check_land(b, m, x):
+        """The _land partition: members reaching the parent's next key at x
+        stay, the others sink to the child slot of their leftmost key there;
+        those bound for the child's last slot stay in the bucket."""
+        parent, child = BNode(1), BNode(0)
+        parent.keys = [(x, 0, 0)]
+        child.keys = [(c, 0, 0) for c in (1, 2, 4)]
+        stay, sink = _land(b, parent, 0, child, keep=2)
+        assert ids(stay) == sorted(iid for iid, iv in m.items() if iv.right >= x)
+        for slot, blocks in sink.items():
+            lo = (-math.inf, 1, 2)[slot]
+            assert ids(blocks) == sorted(iid for iid, iv in m.items()
+                                         if iv.right < x and lo < iv.left <= (1, 2, 4)[slot])
+        assert 2 not in sink
+        return [*stay, *(blk for blocks in sink.values() for blk in blocks)]

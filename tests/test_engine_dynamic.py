@@ -267,15 +267,21 @@ def test_float_endpoint_workload():
 
 class TestWholeBucketMoves:
     """A split or merge moves the buckets that go with their keys whole:
-    the same objects, re-pointed at their new owner, caches kept."""
+    the same objects, re-pointed at their new owner, blocks kept."""
 
     def populated(self):
         eng = DynamicEngine(t=2)
         replay(eng, random_ops(random.Random(1), 300, universe=64, p_delete=0.3))
         for v in iter_nodes(eng.root):
             for bucket in v.buckets:
-                bucket.extremes()  # every cache known
+                bucket.extremes()  # every bound known
         return eng
+
+    @staticmethod
+    def held(buckets):
+        """Per bucket, its blocks' member dicts and bounds."""
+        return [[(blk.by_id, blk.lo, blk.hi, blk.lmax, blk.rmin) for blk in b.blocks()]
+                for b in buckets]
 
     def test_split_moves_median_and_right_buckets(self):
         eng = self.populated()
@@ -285,17 +291,19 @@ class TestWholeBucketMoves:
             if len(c.keys) == 3 and all(b.members for b in c.buckets[1:])
         )
         moving = parent.children[ci].buckets[1:]
-        caches = [(b.lo, b.hi) for b in moving]
+        before = self.held(moving)
         batch = _Batch()
         eng._split_child(parent, ci, batch)
         median, right = parent.buckets[ci], parent.children[ci + 1]
         assert median is moving[0] and median.node is parent
         assert len(right.buckets) == len(moving) - 1
         assert all(a is b and b.node is right for a, b in zip(right.buckets, moving[1:]))
-        assert [(b.lo, b.hi) for b in right.buckets] == caches[1:]
-        # the median's cache folded in the intervals that rose with it
-        ext = slot_extremes(median.members)
-        assert (median.lo, median.hi) == (ext[0], ext[-1])
+        after = self.held(right.buckets)
+        assert all(x is y for a, b in zip(after, before[1:]) for p, q in zip(a, b)
+                   for x, y in zip(p, q))
+        # the intervals that rose with the median joined it as whole blocks
+        median.audit()
+        assert median.extremes() == slot_extremes(median.members)
         eng._rechain(batch)
         eng.audit()
         assert eng.state.verdict()
@@ -311,11 +319,12 @@ class TestWholeBucketMoves:
         )
         right = parent.children[si + 1]
         moving = list(right.buckets)
-        caches = [(b.lo, b.hi) for b in moving]
+        before = self.held(moving)
         batch = _Batch()
         left = eng._merge_children(parent, si, batch)
         assert left.buckets[-1] is moving[0] and moving[0].node is left
-        assert [(b.lo, b.hi) for b in moving] == caches
+        assert all(x is y for a, b in zip(self.held(moving), before) for p, q in zip(a, b)
+                   for x, y in zip(p, q))
         eng._rechain(batch)
         eng.audit()
         assert eng.state.verdict()
