@@ -165,6 +165,8 @@ _LEFT_UPTO, _LEFT_ABOVE, _RIGHT_BELOW, _RIGHT_FROM = range(4)
 
 # a bucket holding more blocks than this merges them into its own
 _MAX_BLOCKS = 8
+# a smaller block joins the bucket's own instead of staying apart
+_SMALL_BLOCK = 32
 
 
 class Bucket(_Block):
@@ -212,20 +214,45 @@ class Bucket(_Block):
             self.adopt([_Block({iv.id: iv for iv in intervals})])
 
     def adopt(self, blocks: list[_Block]) -> None:
-        """Take in whole blocks that no bucket holds; an empty bucket makes
-        the first its own."""
-        if not self.by_id and blocks:
-            first, blocks = blocks[0], blocks[1:]
-            self.by_id = first.by_id
-            self.lo, self.hi, self.lmax, self.rmin = first.lo, first.hi, first.lmax, first.rmin
-        if not blocks:
+        """Take in whole blocks that no bucket holds.  An empty bucket makes
+        the first its own; a block of fewer than _SMALL_BLOCK members joins
+        the bucket's own, and so do all once there are too many."""
+        more = None
+        for blk in blocks:
+            if not self.by_id:
+                self.by_id = blk.by_id
+                self.lo, self.hi, self.lmax, self.rmin = blk.lo, blk.hi, blk.lmax, blk.rmin
+            elif len(blk.by_id) < _SMALL_BLOCK:
+                self._join(blk)
+            else:
+                if more is None:
+                    more = list(self.more)
+                more.append(blk)
+        if more is None:
             return
-        more = self.more = [*self.more, *blocks]
         if len(more) > _MAX_BLOCKS:
-            merged = _merged([self, *more])
-            self.by_id = merged.by_id
-            self.lo, self.hi, self.lmax, self.rmin = merged.lo, merged.hi, merged.lmax, merged.rmin
-            self.more = ()
+            for blk in more:
+                self._join(blk)
+            more = ()
+        self.more = more
+
+    def _join(self, blk: _Block) -> None:
+        """Merge a block into the bucket's own, bounds combined."""
+        self.by_id.update(blk.by_id)
+        if self.lo is None:
+            return
+        if blk.lo is None:
+            blk._rescan()
+        lo, other = self.lo, blk.lo
+        if other.left < lo.left or (other.left == lo.left and other.id < lo.id):
+            self.lo = other
+        hi, other = self.hi, blk.hi
+        if other.right > hi.right or (other.right == hi.right and other.id < hi.id):
+            self.hi = other
+        if blk.lmax > self.lmax:
+            self.lmax = blk.lmax
+        if blk.rmin < self.rmin:
+            self.rmin = blk.rmin
 
     def discard(self, iid: int) -> Interval | None:
         """Remove member iid and return it; None when it is no member."""
@@ -327,19 +354,6 @@ class Bucket(_Block):
                     and _right_key(blk.hi) >= _right_key(exact.hi)
                     and blk.lmax >= exact.lmax and blk.rmin <= exact.rmin):
                 raise InvariantError("block bounds stale")
-
-
-def _merged(blocks: list[_Block]) -> _Block:
-    """One block holding the members of all, with their combined bounds."""
-    by_id: dict[int, Interval] = {}
-    for blk in blocks:
-        by_id.update(blk.by_id)
-    if any(blk.lo is None for blk in blocks):
-        return _Block(by_id)
-    lo = min((blk.lo for blk in blocks), key=_left_key)
-    hi = max((blk.hi for blk in blocks), key=_right_key)
-    return _Block(by_id, (lo, hi, max(blk.lmax for blk in blocks),
-                          min(blk.rmin for blk in blocks)))
 
 
 _left_key = attrgetter("left", "id")

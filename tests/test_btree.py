@@ -1,12 +1,13 @@
 """Bulk-built B-tree skeleton: shape, ordering, anchoring, bucket extremes."""
 
 import math
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcolor import Interval
+from cfcolor import Interval, btree
 from cfcolor.btree import (
     BNode,
     Bucket,
@@ -242,9 +243,10 @@ class TestBucket:
         b.audit()
 
     def test_take_moves_whole_blocks_untouched(self):
+        n = btree._SMALL_BLOCK  # blocks this large stay apart
         b = Bucket()
-        b.add_all([Interval(1, 0, 5), Interval(2, 1, 6)])
-        b.add_all([Interval(3, 2, 9), Interval(4, 3, 8)])
+        b.add_all([Interval(i, 0, 5 + i / n) for i in range(n)])
+        b.add_all([Interval(n + i, 1, 8 + i / n) for i in range(n)])
         near, far = b.blocks()
         taken = b.take_right_from(7)
         # the far block lies wholly beyond 7 and leaves as it is; the near
@@ -252,6 +254,14 @@ class TestBucket:
         assert taken == [far] and taken[0].by_id is far.by_id
         assert b.blocks() == [b] and b.by_id is near.by_id
         assert ids(b.take_right_from(10)) == []
+        b.audit()
+
+    def test_small_blocks_join_the_bucket(self):
+        b = Bucket()
+        b.add_all([Interval(1, 0, 5), Interval(2, 1, 6)])
+        b.add_all([Interval(3, 2, 9)])
+        assert b.blocks() == [b] and sorted(b.members) == [1, 2, 3]
+        assert [iv.id for iv in b.extremes()] == [1, 3]
         b.audit()
 
     def test_straddling_block_is_split_with_its_bounds(self):
@@ -267,12 +277,18 @@ class TestBucket:
         assert part.ends() == slot_extremes(part.by_id)
 
     @settings(max_examples=300, deadline=None)
-    @given(_steps)
-    def test_cache_matches_scan_after_every_step(self, steps):
+    @given(_steps, st.sampled_from([1, 3, btree._SMALL_BLOCK]))
+    def test_cache_matches_scan_after_every_step(self, steps, small):
         """Single adds, removals, bulk adds, and every range query of the
         engine: the taken ids equal the dict filter, and go to the other
         bucket whole or are dropped.  After each step every bucket's
-        extremes equal the slot_extremes scan and its bounds bound it."""
+        extremes equal the slot_extremes scan and its bounds bound it.
+        Smaller blocks than `small` join the bucket's own, so the tiny
+        batches here also meet buckets of many blocks."""
+        with patch.object(btree, "_SMALL_BLOCK", small):
+            self.run_steps(steps)
+
+    def run_steps(self, steps):
         buckets = [Bucket(), Bucket()]
         model = [{}, {}]
         next_id = 0
