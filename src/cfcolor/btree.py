@@ -173,8 +173,8 @@ class Bucket(_Block):
     """The intervals of one slot, in blocks, and the node that owns it.
 
     The bucket is a block itself and may hold more: `adopt` hands it whole
-    blocks, `add_all` brings a batch in as one block, and `add` joins its
-    own.  A `take_*` call removes the members with an endpoint beyond a
+    blocks, of which small ones join its own, `add_all` brings a batch in
+    as one block, and `add` joins its own.  A `take_*` call removes the members with an endpoint beyond a
     coordinate and returns them as blocks: a block wholly beyond leaves
     whole, a block wholly short stays untouched, and only a straddling
     block is scanned and split.  So a rebalance costs the blocks it looks

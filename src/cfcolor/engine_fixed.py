@@ -118,9 +118,9 @@ class LevelPaletteTree:
         extremes match a scan, only level-palette colors appear,
         non-extremes are dummy, the node's own intervals are locally
         conflict-free, and each one wearing a color is in the node's chained
-        set.  Every live interval is bucketed at exactly one
-        node, its anchor entry is that bucket, and every bucket's owner is
-        the node holding it.
+        set.  Every live interval is bucketed at exactly one node, its
+        anchor entry is that bucket, and every bucket's owner is the node
+        holding it.
         """
         validate_structure(self.root, self.t)
         seen: set[int] = set()
