@@ -921,10 +921,19 @@ def parse_trace(lines: Iterable[str]) -> list[Op]:
     return ops
 
 
+def _format_endpoint(x) -> str:
+    """format_number's text, or for a float it would not read back as
+    itself, the float's shortest round-trip repr."""
+    text = format_number(x)
+    if isinstance(x, float) and parse_number(text) != x:
+        return repr(float(x))
+    return text
+
+
 def format_op(op: Op) -> str:
     if isinstance(op, Insert):
         iv = op.interval
-        return f"I {iv.id} {format_number(iv.left)} {format_number(iv.right)}"
+        return f"I {iv.id} {_format_endpoint(iv.left)} {_format_endpoint(iv.right)}"
     return f"D {op.id}"
 
 

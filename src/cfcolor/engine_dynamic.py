@@ -16,17 +16,18 @@ it from the node whose key changed.  A bucket holds its intervals in
 blocks with cached bounds, so a range take hands whole blocks over and
 scans only a block that straddles the range's end; the moved intervals
 cost one anchor write each.  Every node whose bucket content may have
-changed is rechained: its per-slot extreme intervals get a fresh chain
-coloring from the node's 2-color level palette, and of the rest only the
-intervals that may still wear a color go dummy: the node's chained set
-(from `LevelPaletteTree`) and the intervals that moved in during the
-update.  The movers of a whole bucket that may wear a color are among the
-old node's chained ids and arrivals, so no moved bucket is scanned for
-them.  So an update assigns colors to a node's extremes and the intervals
-that moved, never to its whole pool.  The palette rule, the chain
-coloring, the chained sets and the per-node audit come from
-`LevelPaletteTree` in `engine_fixed`, shared with the fixed-universe
-engines.
+changed is marked touched and every node taken out of the tree dropped;
+intervals move only out of such nodes and only into touched ones.  Each
+touched node is rechained: its per-slot extreme intervals get a fresh
+chain coloring from the node's 2-color level palette, and of the rest
+only the intervals that may still wear a color go dummy.  Those are the
+new insert and the touched and dropped nodes' chained ids (the chained
+sets of `LevelPaletteTree`), each rechained at the node its anchor names
+now, so no moved interval needs reporting and no moved bucket a scan.
+So an update assigns colors to the touched nodes' extremes and chained
+ids, never to a whole pool.  The palette rule, the chain coloring, the
+chained sets and the per-node audit come from `LevelPaletteTree` in
+`engine_fixed`, shared with the fixed-universe engines.
 
 The epsilon variant rebuilds the whole tree with minimum degree about
 n^eps whenever the live count leaves [n_last/2, 2*n_last]; recolorings
@@ -43,13 +44,14 @@ from itertools import chain
 from .btree import (
     BNode,
     Bucket,
+    _Block,
     build_tree,
     iter_nodes,
     locate,
     node_extremes,
     node_pool,
 )
-from .core import DUMMY, EngineError, Interval, InvariantError
+from .core import EngineError, Interval, InvariantError
 from .engine_fixed import LevelPaletteTree
 
 __all__ = ["DynamicEngine", "EpsilonEngine"]
@@ -59,8 +61,10 @@ def _coord(key: tuple[float, int, int]) -> float:
     return key[0]
 
 
-# the anchor of an id that is no longer live: owned by no node
-_NOWHERE = Bucket()
+def _endpoint_keys(intervals) -> list[tuple]:
+    """The sorted (coordinate, id, side) keys of the intervals' endpoints."""
+    return sorted([(iv.left, iv.id, 0) for iv in intervals]
+                  + [(iv.right, iv.id, 1) for iv in intervals])
 
 
 def _land(bucket: Bucket, parent: BNode, slot: int, child: BNode, keep: int | None = None):
@@ -103,20 +107,15 @@ def _take_missing(bucket: Bucket, key: float, x: float) -> list:
     return bucket.take_right_below(x)
 
 
-def _ids(blocks) -> list[int]:
-    return [iid for blk in blocks for iid in blk.by_id]
-
-
 class _Batch:
-    """Bookkeeping for one public update: nodes to rechain, nodes dropped,
-    and per node the ids that moved there and may wear a color."""
+    """Bookkeeping for one public update: the nodes whose bucket content
+    may have changed, to rechain, and the nodes dropped from the tree."""
 
-    __slots__ = ("touched", "dropped", "arrived")
+    __slots__ = ("touched", "dropped")
 
     def __init__(self) -> None:
         self.touched: set[BNode] = set()
         self.dropped: set[BNode] = set()
-        self.arrived: dict[BNode, list[int]] = {}
 
 
 class DynamicEngine(LevelPaletteTree):
@@ -139,9 +138,8 @@ class DynamicEngine(LevelPaletteTree):
         bucket = v.buckets[slot]
         bucket.add(interval)
         self._anchor[interval.id] = bucket
-        self._arrive(v, (interval.id,), batch)
         batch.touched.add(v)
-        self._rechain(batch)
+        self._rechain(batch, interval.id)
 
     def delete(self, iid: int) -> None:
         interval = self.state.begin_delete(iid)
@@ -155,8 +153,8 @@ class DynamicEngine(LevelPaletteTree):
             return
         batch = _Batch()
         batch.touched.add(home)  # its extremes may have changed
-        self._delete_key((interval.left, iid, 0), batch)
-        self._delete_key((interval.right, iid, 1), batch)
+        self._delete_key_from(self.root, (interval.left, iid, 0), batch)
+        self._delete_key_from(self.root, (interval.right, iid, 1), batch)
         self._rechain(batch)
 
     def _maybe_rebuild(self) -> bool:
@@ -227,13 +225,9 @@ class DynamicEngine(LevelPaletteTree):
         self._rebucket(parent, ci)
         # no other key of parent lies inside an interval anchored below it
         self._move(median, up)
-        self._disperse(child, batch)
         batch.touched.update((parent, child, right))
 
     # -------------------------------------------------------- key deletion
-
-    def _delete_key(self, key: tuple, batch: _Batch) -> None:
-        self._delete_key_from(self.root, key, batch)
 
     def _delete_key_from(self, v: BNode, key: tuple, batch: _Batch) -> None:
         t = self.t
@@ -312,13 +306,12 @@ class DynamicEngine(LevelPaletteTree):
                 child.children.append(sib.children.pop(0))
         parent.keys[si] = up_key
         self._rebucket(parent, si)
-        self._rise(parent, si, risen, batch)
+        self._move(parent.buckets[si], risen)
         # the staged intervals contain sep and miss up_key
         stay, sink = _land(staged, parent, si + 1, child)
         if stay:
             self._move(parent.buckets[si + 1], stay)
         for slot, blocks in sink.items():
-            self._arrive(child, _ids(blocks), batch)
             self._move(child.buckets[slot], blocks)
         batch.touched.update((parent, sib, child))
 
@@ -359,8 +352,6 @@ class DynamicEngine(LevelPaletteTree):
         else:
             batch.touched.add(parent)
         batch.touched.add(left)
-        self._disperse(right, batch)
-        self._disperse(parent, batch)
         return left
 
     def _swap_separator(self, v: BNode, pos: int, successor: bool, batch: _Batch) -> None:
@@ -390,7 +381,7 @@ class DynamicEngine(LevelPaletteTree):
         self._delete_key_from(subtree, swap_key, batch)
         v.keys[pos] = swap_key
         self._rebucket(v, pos)
-        self._rise(v, pos, risen, batch)
+        self._move(v.buckets[pos], risen)
         self._relocate(staged, v, batch)
         batch.touched.add(v)
 
@@ -424,66 +415,40 @@ class DynamicEngine(LevelPaletteTree):
             if moved:
                 self._move(node.buckets[pos], moved)
 
-    def _rise(self, node: BNode, slot: int, risen: list, batch: _Batch) -> None:
-        """Bucket at node's slot the blocks taken from below it."""
-        self._move(node.buckets[slot], risen)
-        self._arrive(node, _ids(risen), batch)
-
-    def _arrive(self, node: BNode, ids, batch: _Batch) -> None:
-        """Note the ids not wearing dummy as arrivals at node.
-
-        Colors change only when the update rechains, after all moves.
-        """
-        color_of = self.state.color_of
-        arrived = batch.arrived.setdefault(node, [])
-        arrived.extend(iid for iid in ids if color_of(iid) is not DUMMY)
-
-    def _disperse(self, old: BNode, batch: _Batch) -> None:
-        """Note as arrivals at their new owner the ids that may wear a color
-        and whose bucket has left old.
-
-        Every id anchored at old that may wear a color is in old's chained
-        set or among its arrivals, so no moved bucket needs a scan.
-        """
-        anchor = self._anchor
-        arrived = batch.arrived
-        for iid in chain(self._chained.get(old, ()), arrived.get(old, ())):
-            v = anchor.get(iid, _NOWHERE).node
-            if v is not old and v is not None:
-                arrived.setdefault(v, []).append(iid)
-
     def _relocate(self, staged: list[Interval], start: BNode, batch: _Batch) -> None:
         """Bucket staged intervals anew at or below start: start's ancestors
         kept their keys, so none of them holds a key inside one."""
-        moved = defaultdict(list)
+        moved = defaultdict(dict)
         for iv in staged:
             v, slot = locate(start, iv, _coord)
-            moved[v.buckets[slot]].append(iv)
-        for bucket, ivs in moved.items():
-            v = bucket.node
-            if v is not start:
-                self._arrive(v, [iv.id for iv in ivs], batch)
-            bucket.add_all(ivs)
-            self._anchor.update(dict.fromkeys([iv.id for iv in ivs], bucket))
-            batch.touched.add(v)
+            moved[v.buckets[slot]][iv.id] = iv
+        for bucket, by_id in moved.items():
+            self._move(bucket, [_Block(by_id)])
+            batch.touched.add(bucket.node)
 
     # ------------------------------------------------------------ coloring
 
-    def _rechain(self, batch: _Batch) -> None:
-        for v in batch.dropped:
-            self._chained.pop(v, None)
+    def _rechain(self, batch: _Batch, *new: int) -> None:
+        """Rechain every live touched node, lowest level first.
+
+        Each chain-colors its extremes; of its other intervals only those
+        that can wear a color go dummy.  Those are the new ids (an insert
+        has no color yet) and the chained ids of the touched and dropped
+        nodes, since every move leaves such a node: each goes to the node
+        its anchor names now, and an id no longer live has no anchor.
+        """
+        chained = self._chained
+        old = [chained.pop(v, ()) for v in batch.dropped]
+        old += [chained.get(v, ()) for v in batch.touched]
+        anchor = self._anchor
+        dummies = defaultdict(list)
+        for iid in chain(new, *old):
+            bucket = anchor.get(iid)
+            if bucket is not None:
+                dummies[bucket.node].append(iid)
         live = [v for v in batch.touched - batch.dropped if v.keys]
         for v in sorted(live, key=lambda v: (v.level, v.keys[0])):
-            self._rechain_node(v, batch.arrived.get(v, ()))
-
-    def _rechain_node(self, v: BNode, arrived) -> None:
-        """Chain-color v's extremes; of its other intervals only those that
-        can wear a color go dummy: its chained ids and the arrivals (a new
-        insert has no color yet) that are still anchored at v."""
-        anchor = self._anchor
-        ids = [iid for iid in chain(self._chained.get(v, ()), arrived)
-               if anchor.get(iid, _NOWHERE).node is v]
-        self._chain_extremes(v, node_extremes(v), ids)
+            self._chain_extremes(v, node_extremes(v), dummies.get(v, ()))
 
     # ------------------------------------------------------------- checks
 
@@ -494,11 +459,7 @@ class DynamicEngine(LevelPaletteTree):
         keys = [k for v in iter_nodes(self.root) for k in v.keys]
         if len(keys) != 2 * n:
             raise InvariantError(f"{len(keys)} keys for {n} intervals")
-        expect = sorted(
-            [(iv.left, iv.id, 0) for iv in self.state.intervals.values()]
-            + [(iv.right, iv.id, 1) for iv in self.state.intervals.values()]
-        )
-        if sorted(keys) != expect:
+        if sorted(keys) != _endpoint_keys(self.state.intervals.values()):
             raise InvariantError("tree keys out of sync with live endpoints")
         if n >= 1 and self.height >= 1 and self.t**self.height > n:
             raise InvariantError(f"height {self.height} too large for {n} intervals")
@@ -532,11 +493,7 @@ class EpsilonEngine(DynamicEngine):
         """Bulk-rebuild the tree with t about n^eps; recolor everything."""
         n = self.state.n
         self.t = max(2, round(n**self.eps))
-        keys = sorted(
-            [(iv.left, iv.id, 0) for iv in self.state.intervals.values()]
-            + [(iv.right, iv.id, 1) for iv in self.state.intervals.values()]
-        )
-        self.root, _ = build_tree(keys, self.t)
+        self.root, _ = build_tree(_endpoint_keys(self.state.intervals.values()), self.t)
         self._anchor.clear()
         self._chained.clear()
         fill = defaultdict(list)

@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from cfcolor.cli import main
 from cfcolor.core import parse_number, parse_trace
@@ -185,6 +187,25 @@ class TestVerify:
     def test_round_trip(self, capsys, tmp_path, method, kind):
         trace, log = self.make_log(capsys, tmp_path, method=method, kind=kind)
         assert cli(capsys, "verify", "--log", log)[0] == 0
+        assert cli(capsys, "verify", "--log", log, "--trace", trace)[0] == 0
+
+    # finite floats of 1 to 17 significant digits, far below and above 1
+    sig_floats = st.builds(
+        lambda sign, digits, exp: float(f"{sign}{digits}e{exp}"),
+        st.sampled_from(["", "-"]), st.integers(1, 10**17 - 1), st.integers(-30, 5),
+    )
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(ends=st.lists(st.tuples(sig_floats, sig_floats), min_size=1, max_size=6))
+    def test_log_of_any_float_trace_replays(self, capsys, tmp_path, ends):
+        ends = [tuple(sorted(pair)) for pair in ends]
+        assume(all(a < b for a, b in ends))
+        lines = [f"I {i} {a!r} {b!r}" for i, (a, b) in enumerate(ends)] + ["D 0"]
+        trace = write(tmp_path, "f.trace", "\n".join(lines) + "\n")
+        log = str(tmp_path / "f.log")
+        assert cli(capsys, "run", "--method", "dynamic:t=2", "--trace", trace,
+                   "--audit", "every", "--out", log)[0] == 0
         assert cli(capsys, "verify", "--log", log, "--trace", trace)[0] == 0
 
     def test_conflicting_color_is_exit_1(self, capsys, tmp_path):

@@ -547,3 +547,11 @@ class TestTraceFormat:
         assert format_number(-0.0) == "0"
         assert format_number(0.25) == "0.250000"
         assert format_op(Insert(Interval(7, -1, 0.5))) == "I 7 -1 0.500000"
+
+    def test_op_endpoints_read_back_exactly(self):
+        # 6 decimals where they read back as the same float, repr otherwise
+        assert format_op(Insert(Interval(0, 0.1234567, 1))) == "I 0 0.1234567 1"
+        assert format_op(Insert(Interval(1, 1e-07, 2.25))) == "I 1 1e-07 2.250000"
+        assert (format_op(Insert(Interval(2, 3.000000001, 3.0000000012)))
+                == "I 2 3.000000001 3.0000000012")
+        assert format_op(Insert(Interval(3, 0.123457, 2**60))) == f"I 3 0.123457 {2**60}"

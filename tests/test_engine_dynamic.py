@@ -6,7 +6,7 @@ import pytest
 
 from cfcolor import DUMMY, Interval, is_conflict_free, is_conflict_free_fast
 from cfcolor.btree import iter_nodes, node_pool, slot_extremes
-from cfcolor.core import EngineError, replay
+from cfcolor.core import EngineError, InvariantError, replay
 from cfcolor.engine_dynamic import DynamicEngine, EpsilonEngine, _Batch
 
 from helpers import naive_conflict_free, random_ops
@@ -328,3 +328,35 @@ class TestWholeBucketMoves:
         eng._rechain(batch)
         eng.audit()
         assert eng.state.verdict()
+
+
+@pytest.mark.parametrize("left_out,cause", [
+    ("parent", r"not a level-\d+ color"),
+    ("right", "not chained at its node"),
+], ids=["parent", "right"])
+def test_audit_catches_a_move_into_an_untouched_node(left_out, cause):
+    """A split that leaves a node its intervals move into out of
+    batch.touched, so that node is not rechained: its moved-in intervals
+    keep the colors of the node they left, which the audit must reject."""
+    eng = DynamicEngine(t=2)
+    split = eng._split_child
+    fired = []
+
+    def planted(parent, ci, batch):
+        split(parent, ci, batch)
+        batch.touched.discard(parent if left_out == "parent" else parent.children[ci + 1])
+        fired.append(ci)
+
+    eng._split_child = planted
+    rng = random.Random(3)
+    live = []
+    with pytest.raises(InvariantError, match=cause):
+        for i in range(400):
+            if live and rng.random() < 0.45:
+                eng.delete(live.pop(rng.randrange(len(live))))
+            else:
+                a = rng.uniform(0, 100)
+                eng.insert(Interval(i, a, a + rng.uniform(0.5, 40)))
+                live.append(i)
+            eng.audit()
+    assert fired
