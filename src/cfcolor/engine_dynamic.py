@@ -435,11 +435,13 @@ class DynamicEngine(LevelPaletteTree):
         that can wear a color go dummy.  Those are the new ids (an insert
         has no color yet) and the chained ids of the touched and dropped
         nodes, since every move leaves such a node: each goes to the node
-        its anchor names now, and an id no longer live has no anchor.
+        its anchor names now, and an id no longer live has no anchor.  A
+        touched node left without keys (an emptied root) holds no interval
+        and keeps no chained set.
         """
         chained = self._chained
         old = [chained.pop(v, ()) for v in batch.dropped]
-        old += [chained.get(v, ()) for v in batch.touched]
+        old += [chained.get(v, ()) if v.keys else chained.pop(v, ()) for v in batch.touched]
         anchor = self._anchor
         dummies = defaultdict(list)
         for iid in chain(new, *old):
@@ -505,7 +507,8 @@ class EpsilonEngine(DynamicEngine):
         for bucket, ivs in fill.items():
             bucket.add_all(ivs)
         for v in iter_nodes(self.root):
-            pool = [iv.id for iv in node_pool(v)]
-            self._chain_extremes(v, node_extremes(v), pool, rebuild=True)
+            if v.keys:  # only the root of an empty tree has none
+                pool = [iv.id for iv in node_pool(v)]
+                self._chain_extremes(v, node_extremes(v), pool, rebuild=True)
         self._n_last = n
         self.rebuild_count += 1

@@ -118,7 +118,8 @@ class LevelPaletteTree:
         extremes match a scan, only level-palette colors appear,
         non-extremes are dummy, the node's own intervals are locally
         conflict-free, and each one wearing a color is in the node's chained
-        set.  Every live interval is bucketed at exactly one node, its
+        set; only nodes of the tree that hold keys have a chained set.
+        Every live interval is bucketed at exactly one node, its
         anchor entry is that bucket, and every bucket's owner is the node
         holding it.
         """
@@ -152,6 +153,9 @@ class LevelPaletteTree:
                     raise InvariantError(f"interval {iid} wears {c} but is not chained at its node")
         if seen != set(self.state.intervals):
             raise InvariantError("bucketed intervals out of sync with live set")
+        holders = {v for v in iter_nodes(self.root) if v.keys}
+        if any(v not in holders for v in self._chained):
+            raise InvariantError("chained set kept for a node off the tree or without keys")
         anchor = self._anchor
         if anchor.keys() != self.state.intervals.keys():
             raise InvariantError("anchor map out of sync with live set")

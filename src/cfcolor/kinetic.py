@@ -15,7 +15,11 @@ event is probed at midpoints toward the previous event time and the
 event's next_time, so the decisions never evaluate at the degenerate
 instant itself.  compute_events finds the events and each one's
 next_time, the first crossing of any kind after it (beyond the horizon
-too), in one pass over the trajectory pairs.
+too), with numpy arithmetic over all trajectory pairs, one crossing
+family at a time, and builds the events without their frozen __init__.
+Its output equals a plain loop over the pairs, value and type: float64
+arrays serve where numpy rounds as Python does (floats, ints within
+2**52), object arrays of the coefficients otherwise.
 
 The maintainer keeps its state once, in arrays aligned to the sorted ids:
 the endpoint coefficients (float64, or Fraction objects in exact mode),
@@ -52,8 +56,9 @@ import itertools
 import math
 import random
 from bisect import bisect_right
+from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -134,6 +139,9 @@ class Event:
     beyond the horizon too, or None when there is none.  Slotted: a set-up
     holds one Event per crossing, and without an instance dict each is
     smaller and the cyclic collector has less to walk while they pile up.
+    compute_events fills the slots of its events directly (_make_events),
+    which skips the frozen __init__; they compare, hash and print like any
+    Event built by hand.
     """
 
     time: float
@@ -143,15 +151,35 @@ class Event:
     next_time: float | None = field(default=None, compare=False, repr=False)
 
 
-def _cross_time(c0, cv, d0, dv):
-    if cv == dv:
-        return None
-    return (d0 - c0) / (cv - dv)
+_EVENT_SLOTS = tuple(Event.__dict__[f.name].__set__ for f in fields(Event))
 
 
-def _rl_kind(rgt, lft):
-    # gap derivative left(lft) - right(rgt); never 0 where they cross
-    return "RL-meet" if lft.va < rgt.vb else "RL-separate"
+def _make_events(*columns) -> list[Event]:
+    """Events from one column per field, in field order.
+
+    Each slot is set through its member descriptor: a frozen dataclass's
+    __init__ pays an object.__setattr__ call per field, most of an event's
+    cost when a set-up builds tens of thousands.
+    """
+    events = list(map(object.__new__, itertools.repeat(Event, len(columns[0]))))
+    for put, column in zip(_EVENT_SLOTS, columns):
+        deque(map(put, events, column), maxlen=0)
+    return events
+
+
+# event kinds ranked in string order, as the sort key compares them
+_KINDS = ("LL", "RL-meet", "RL-separate", "RR")
+_LL, _RL_MEET, _RL_SEPARATE, _RR = np.arange(4, dtype=np.int8)
+
+
+def _float64_exact(values) -> bool:
+    """True when numpy's float64 subtract, divide and compare on these give
+    what Python's own operators give: floats, and ints that convert exactly
+    and whose differences do too."""
+    return all(
+        isinstance(x, float) or (isinstance(x, int) and -(2**52) <= x <= 2**52)
+        for x in values
+    )
 
 
 def compute_events(trajectories, t0, until) -> list[Event]:
@@ -162,43 +190,109 @@ def compute_events(trajectories, t0, until) -> list[Event]:
     inversion, since rounding can put one inside the horizon.  Post-event
     states are evaluated at a midpoint before next_time, so the midpoint
     never jumps past a crossing.
+
+    The arithmetic runs on arrays: float64 when numpy rounds as Python
+    does, else object arrays whose elements (Fractions, big ints) use
+    Python's own operators.  Either way the events equal those of a plain
+    loop over the pairs, and every time is the Python value it computes.
     """
-    found = []
-    beyond = None  # the least pair crossing after the horizon
-    for x, y in itertools.combinations(trajectories, 2):
-        lo, hi = (x.id, y.id) if x.id < y.id else (y.id, x.id)
-        for t, kind, i1, i2 in (
-            (_cross_time(x.b0, x.vb, y.b0, y.vb), "RR", lo, hi),
-            (_cross_time(x.a0, x.va, y.a0, y.va), "LL", lo, hi),
-            (_cross_time(x.b0, x.vb, y.a0, y.va), _rl_kind(x, y), x.id, y.id),
-            (_cross_time(y.b0, y.vb, x.a0, x.va), _rl_kind(y, x), y.id, x.id),
-        ):
-            if t is not None and t > t0:
-                if t <= until:
-                    found.append((t, lo, hi, kind, i1, i2))
-                elif beyond is None or t < beyond:
-                    beyond = t
+    trajs = list(trajectories)
+    if len(trajs) < 2:
+        return []
+    cols = [(tr.a0, tr.va, tr.b0, tr.vb) for tr in trajs]
+    dtype = np.float64 if _float64_exact([t0, until, *itertools.chain(*cols)]) else object
+    a0, va, b0, vb = (np.array(col, dtype=dtype) for col in zip(*cols))
+    # ids as ranks, so that any int (negative, beyond int64) sorts as an int32
+    ids = sorted({tr.id for tr in trajs})
+    rank_of = dict(zip(ids, range(len(ids))))
+    rank = np.array([rank_of[tr.id] for tr in trajs], dtype=np.int32)
+    t, kind, i1, i2, beyond = _crossings(a0, va, b0, vb, rank, t0, until)
+    if t.size == 0:
+        return []
+    den = va - vb  # each trajectory's own left/right inversion
+    pick = np.flatnonzero(den != 0)
+    inv = (b0[pick] - a0[pick]) / den[pick]
+    times = t.tolist()
+    ids = np.array(ids, dtype=object)
+    return _make_events(
+        times,
+        np.array(_KINDS, dtype=object)[kind].tolist(),
+        ids[i1].tolist(),
+        ids[i2].tolist(),
+        _next_times(t, times, beyond, inv[inv > t0]),
+    )
+
+
+def _crossings(a0, va, b0, vb, rank, t0, until):
+    """The pair crossings in (t0, until], sorted as the events are.
+
+    Returns arrays of their times, kind codes and the ranks of id1 and
+    id2, then the least pair crossing after until, or None.  The pairs are
+    taken one crossing family at a time, so only one family's pair arrays
+    are alive.
+    """
+    I, J = np.triu_indices(rank.size, 1)  # the pairs, in itertools.combinations order
+    # (c0, cv, d0, dv, p, q, kind): p's c end meets q's d end at
+    # (d0[q] - c0[p]) / (cv[p] - dv[q]); RL kinds (None) by the gap's sign
+    families = (
+        (b0, vb, b0, vb, I, J, _RR),
+        (a0, va, a0, va, I, J, _LL),
+        (b0, vb, a0, va, I, J, None),
+        (b0, vb, a0, va, J, I, None),
+    )
+    parts = []  # per family: (t, lo, hi, kind, i1, i2) of its crossings
+    beyonds = []  # per family: (least t after until, pair, family)
+    for f, (c0, cv, d0, dv, p, q, kind) in enumerate(families):
+        den = cv[p] - dv[q]
+        pick = np.flatnonzero(den != 0)
+        t = (d0[q[pick]] - c0[p[pick]]) / den[pick]
+        later = t > t0
+        pick, t = pick[later], t[later]
+        now = t <= until
+        if not now.all():
+            rest = np.flatnonzero(~now)
+            k = rest[t[rest].argmin()]  # the first least one, as a loop finds it
+            beyonds.append((t.item(k), int(pick[k]), f))
+            pick, t = pick[now], t[now]
+        pp, qq = p[pick], q[pick]
+        rp, rq = rank[pp], rank[qq]
+        lo, hi = np.minimum(rp, rq), np.maximum(rp, rq)
+        if kind is None:  # RL: p owns the right end, q the left one
+            kinds = np.where(dv[qq] < cv[pp], _RL_MEET, _RL_SEPARATE)
+            parts.append((t, lo, hi, kinds, rp, rq))
+        else:
+            parts.append((t, lo, hi, np.full(t.size, kind), lo, hi))
+    t, lo, hi, kind, i1, i2 = (np.concatenate(col) for col in zip(*parts))
     # ties in (time, pair, kind) can only come from rounding; they break by
     # id1, so the order does not depend on the order of the trajectories
-    found.sort()
-    inversions = []  # each trajectory's own left/right crossing after t0
-    for tr in trajectories:
-        t = _cross_time(tr.a0, tr.va, tr.b0, tr.vb)
-        if t is not None and t > t0:
-            inversions.append(t)
-    inversions.sort()
-    out = []
-    nxt, prev = None, beyond  # nxt: the first pair crossing after the current event
-    for t, _, _, kind, i1, i2 in reversed(found):
-        if t != prev:
-            nxt, prev = prev, t
-        j = bisect_right(inversions, t)
-        if j < len(inversions) and (nxt is None or inversions[j] < nxt):
-            out.append(Event(t, kind, i1, i2, inversions[j]))
-        else:
-            out.append(Event(t, kind, i1, i2, nxt))
-    out.reverse()
-    return out
+    order = np.lexsort((i2, i1, kind, hi, lo, t))
+    beyond = min(beyonds)[0] if beyonds else None
+    return t[order], kind[order], i1[order], i2[order], beyond
+
+
+def _next_times(t, times, beyond, inv):
+    """Each event's next_time, given the sorted event times as an array and
+    as their Python objects, the least pair crossing after the horizon
+    (or None) and the inversion times after t0.
+
+    The next_time is the first later time among these; on a tie a pair
+    crossing's, and as the same object a loop over the pairs hands out.
+    """
+    # each run of equal times is named by its last event, as a loop
+    # walking the sorted events backwards finds it
+    last = np.ones(t.size, dtype=bool)
+    last[:-1] = t[1:] != t[:-1]
+    ahead = [t[last]]
+    objs = [np.array(times, dtype=object)[last]]
+    if beyond is not None:
+        ahead.append(np.array([beyond], dtype=t.dtype))
+        objs.append(np.array([beyond], dtype=object))
+    ahead.append(inv)
+    objs.append(inv.astype(object))
+    ahead = np.concatenate(ahead)
+    order = ahead.argsort(kind="stable")  # a pair's time first on ties
+    objs = np.append(np.concatenate(objs)[order], None)
+    return objs[ahead[order].searchsorted(t, side="right")].tolist()
 
 
 def _event_window(ev, vpos, lefts, rights):

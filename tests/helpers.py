@@ -6,9 +6,12 @@ library against straightforward reimplementations.
 
 from __future__ import annotations
 
+import itertools
 import random
+from bisect import bisect_right
 
 from cfcolor.core import DUMMY, Color, Delete, Insert, Interval
+from cfcolor.kinetic import Event
 
 
 def naive_conflict_free(intervals, assignment, rng: random.Random | None = None,
@@ -104,3 +107,60 @@ def random_ops(rng: random.Random, count: int, universe: int = 64,
             live.append(next_id)
             next_id += 1
     return ops
+
+
+def _cross_time(c0, cv, d0, dv):
+    if cv == dv:
+        return None
+    return (d0 - c0) / (cv - dv)
+
+
+def _rl_kind(rgt, lft):
+    # gap derivative left(lft) - right(rgt); never 0 where they cross
+    return "RL-meet" if lft.va < rgt.vb else "RL-separate"
+
+
+def compute_events_loop(trajectories, t0, until) -> list[Event]:
+    """Reference for kinetic.compute_events: the same events, next_times
+    included, from a plain loop over the trajectory pairs.
+
+    Each event's next_time also counts the crossings that are no events:
+    those beyond the horizon and each trajectory's own left/right
+    inversion, since rounding can put one inside the horizon.
+    """
+    found = []
+    beyond = None  # the least pair crossing after the horizon
+    for x, y in itertools.combinations(trajectories, 2):
+        lo, hi = (x.id, y.id) if x.id < y.id else (y.id, x.id)
+        for t, kind, i1, i2 in (
+            (_cross_time(x.b0, x.vb, y.b0, y.vb), "RR", lo, hi),
+            (_cross_time(x.a0, x.va, y.a0, y.va), "LL", lo, hi),
+            (_cross_time(x.b0, x.vb, y.a0, y.va), _rl_kind(x, y), x.id, y.id),
+            (_cross_time(y.b0, y.vb, x.a0, x.va), _rl_kind(y, x), y.id, x.id),
+        ):
+            if t is not None and t > t0:
+                if t <= until:
+                    found.append((t, lo, hi, kind, i1, i2))
+                elif beyond is None or t < beyond:
+                    beyond = t
+    # ties in (time, pair, kind) can only come from rounding; they break by
+    # id1, so the order does not depend on the order of the trajectories
+    found.sort()
+    inversions = []  # each trajectory's own left/right crossing after t0
+    for tr in trajectories:
+        t = _cross_time(tr.a0, tr.va, tr.b0, tr.vb)
+        if t is not None and t > t0:
+            inversions.append(t)
+    inversions.sort()
+    out = []
+    nxt, prev = None, beyond  # nxt: the first pair crossing after the current event
+    for t, _, _, kind, i1, i2 in reversed(found):
+        if t != prev:
+            nxt, prev = prev, t
+        j = bisect_right(inversions, t)
+        if j < len(inversions) and (nxt is None or inversions[j] < nxt):
+            out.append(Event(t, kind, i1, i2, inversions[j]))
+        else:
+            out.append(Event(t, kind, i1, i2, nxt))
+    out.reverse()
+    return out

@@ -47,6 +47,18 @@ class TestBasics:
         eng.audit()
         assert eng.state.n == 0 and not eng.root.keys
 
+    def test_emptied_root_keeps_no_chained_set(self):
+        eng = DynamicEngine(2)
+        for i in range(3):
+            eng.insert(Interval(i, 2 * i, 2 * i + 3))
+        for i in range(3):
+            eng.delete(i)
+        assert eng._chained == {}
+        eng.audit()
+        eng._chained[eng.root] = {2}  # a stale entry for the keyless root
+        with pytest.raises(InvariantError, match="chained set"):
+            eng.audit()
+
     def test_duplicate_and_unknown_ids(self):
         eng = DynamicEngine()
         eng.insert(Interval(1, 0, 1))
@@ -216,6 +228,15 @@ class TestEpsilon:
             if n:
                 assert nl / 2 <= n <= 2 * nl
         eng.audit()
+
+    def test_drained_engine_keeps_no_chained_set(self):
+        eng = EpsilonEngine(0.5)
+        for i in range(5):
+            eng.insert(Interval(i, i, i + 5))
+        for i in range(5):
+            eng.delete(i)
+            eng.audit()
+        assert eng.rebuild_count >= 2 and eng._chained == {}
 
     def test_t_tracks_n_to_the_eps(self):
         eng = EpsilonEngine(0.5)

@@ -1,5 +1,6 @@
 """Event-driven chain maintenance under linear endpoint motion."""
 
+import dataclasses
 import itertools
 import random
 from bisect import bisect_right
@@ -34,6 +35,8 @@ from cfcolor.kinetic import (
     random_scenario,
     verify_gadget_lemma,
 )
+
+from helpers import compute_events_loop
 
 
 def still(iid, left, right):
@@ -527,6 +530,102 @@ class TestNextTime:
         assert ev.next_time == 3.0
         assert ev == type(ev)(ev.time, ev.kind, ev.id1, ev.id2)
         assert "next_time" not in repr(ev)
+
+
+def _same_events(got, want):
+    """Equal event lists whose fields also agree in type, next_time too."""
+    assert got == want
+    for g, w in zip(got, want):
+        for name in ("time", "next_time", "id1", "id2"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a == b and type(a) is type(b), (name, a, b)
+
+
+class TestArraySetup:
+    """compute_events against the pair loop it replaced (helpers)."""
+
+    def _check(self, trajs, t0, until):
+        events = compute_events(trajs, t0, until)
+        _same_events(events, compute_events_loop(trajs, t0, until))
+        return events
+
+    def _check_both(self, trajs, until):
+        """Both maintainer modes; returns the float mode's events."""
+        for exact in (True, False):
+            km = KineticMaintainer(trajs, 0, until, exact=exact)
+            _same_events(
+                km.events, compute_events_loop(list(km.trajs.values()), km.t0, km.until)
+            )
+        return km.events
+
+    def test_random_scenarios_in_both_modes(self):
+        rng = random.Random(41)
+        for until in (3.0, 10.0):
+            for _ in range(4):
+                events = self._check_both(random_scenario(rng, rng.randint(2, 30)), until)
+                assert all(type(ev.time) is float for ev in events)
+
+    def test_integer_grids_share_crossing_times(self):
+        rng = random.Random(43)
+        shared = 0
+        for _ in range(10):
+            events = self._check_both(_grid_scenario(rng, rng.randint(2, 20)), 6)
+            shared += len(events) - len({ev.time for ev in events})
+        assert shared > 20
+
+    def test_zero_and_equal_speeds_never_cross(self):
+        trajs = [
+            still(0, 0, 2),
+            still(1, 5, 6),
+            Trajectory(2, 10, 1.0, 12, 1.0),
+            Trajectory(3, 14, 1.0, 15, 1.0),
+            Trajectory(4, -9, 0.5, -3, 0.5),
+        ]
+        events = self._check(trajs, 0.0, 100.0)
+        speed = {tr.id: tr.va for tr in trajs}
+        assert events and all(speed[ev.id1] != speed[ev.id2] for ev in events)
+        assert self._check(trajs[:2], 0.0, 100.0) == []
+
+    def test_int_coefficients_beyond_float64(self):
+        # float64 would round big - 2 to big and put the first crossing at 0
+        big = 2**60
+        trajs = [
+            Trajectory(0, big, 0, big + 10, 0),
+            Trajectory(1, big - 7, 3, big - 2, 3),
+            Trajectory(2, big + 20, -1, big + 24, -1),
+        ]
+        events = self._check(trajs, 0, 40)
+        assert (events[0].time, events[0].kind, events[0].id1) == (2 / 3, "RL-meet", 1)
+        assert all(type(ev.time) is float for ev in events)
+
+    def test_ids_beyond_int64_and_negative(self):
+        ids = [-5, 2**70, -(2**65), 3, 0, 2**63]
+        base = random_scenario(random.Random(48), len(ids))
+        trajs = [Trajectory(i, tr.a0, tr.va, tr.b0, tr.vb) for i, tr in zip(ids, base)]
+        events = self._check_both(trajs, 10.0)
+        assert {ev.id1 for ev in events} | {ev.id2 for ev in events} == set(ids)
+        # the order does not depend on the order of the trajectories
+        _same_events(compute_events(trajs[::-1], 0, 10.0), events)
+
+    def test_exact_fractions_and_mixed_coefficients(self):
+        rng = random.Random(47)
+        exact = [tr.as_exact() for tr in random_scenario(rng, 12)]
+        events = self._check(exact, Fraction(0), Fraction(10))
+        assert all(type(ev.time) is Fraction for ev in events)
+        mixed = exact[:6] + random_scenario(rng, 12)[6:]
+        self._check(mixed, 0, 10)
+        grid = [tr.as_exact() for tr in _grid_scenario(rng, 15)]
+        self._check(grid, Fraction(0), Fraction(6))
+
+    def test_events_stay_frozen_and_hashable(self):
+        events = compute_events(random_scenario(random.Random(49), 10), 0.0, 10.0)
+        for ev in events:
+            by_hand = Event(ev.time, ev.kind, ev.id1, ev.id2, ev.next_time)
+            assert type(ev) is Event and ev == by_hand
+            assert hash(ev) == hash(by_hand) and repr(ev) == repr(by_hand)
+        assert len(set(events)) == len(events)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            events[0].time = 0.0
 
 
 class TestGadget:
