@@ -9,6 +9,7 @@ of simultaneously overlapping registered intervals stays small.
 
 from __future__ import annotations
 
+from .chain import connected_components
 from .core import Color, ColoringState, EngineError, Interval
 
 __all__ = ["TrivialEngine", "UniqueColorEngine", "ComponentFirstFitEngine"]
@@ -69,24 +70,12 @@ class ComponentFirstFitEngine:
         self.state = ColoringState()
 
     def _component_colors(self, interval: Interval) -> set[Color]:
-        # grow the component by closed-overlap reachability
-        member = {interval.id}
-        changed = True
-        while changed:
-            changed = False
-            for other in self.state.intervals.values():
-                if other.id in member:
-                    continue
-                for mid in member:
-                    if other.intersects(self.state.intervals[mid]):
-                        member.add(other.id)
-                        changed = True
-                        break
-        return {
-            self.state.color_of(mid)
-            for mid in member
-            if mid != interval.id and self.state.color_of(mid) is not None
-        }
+        # begin_insert has made the interval live: its closed-overlap component
+        comp = next(
+            c for c in connected_components(self.state.intervals.values())
+            if interval in c
+        )
+        return {self.state.color_of(iv.id) for iv in comp if iv.id != interval.id}
 
     def insert(self, interval: Interval) -> None:
         self.state.begin_insert(interval)

@@ -402,8 +402,8 @@ def cmd_verify(args) -> int:
     except _LogMismatch as exc:
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
+    except ValueError as exc:  # a malformed number or interval in a record
+        print(f"verify: line {lineno}: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_OK
 

@@ -35,14 +35,16 @@ one whole batch, the certificate's time lies after the batch before it,
 and t lies between this batch and the next crossing of any kind, the
 endpoint order at t differs from the certified one only at the batch's
 crossing pairs: the locality argument of kinetic data structures (Basch,
-Guibas and Hershberger, SODA 1997).  The audit then examines only what
-the batch touched (ids whose membership or code differs from the
-certificate's, and the event pairs) and its neighbourhood: chain
-positions within two places, and intervals meeting an event window, a
-dropped member's span or a recolored span.  Any other call (the first
-one, a stride above one, audit="final", a run's closing audit, or an
-arbitrary t) runs the full audit, a plain-Python sweep over the whole
-state, which is also the reference the tests hold the delta to.
+Guibas and Hershberger, SODA 1997).  The audit then keeps local only
+what is local: C3 for the batch's LL/RR pairs and for members added
+since the certificate, and conflict-freeness inside the event windows
+and the spans of recolored ids.  The color rule, C1, the
+overlapping-neighbour rule and C2 it checks on whole arrays, at about
+the cost that evaluating every endpoint at t and sorting the chain
+already have.  Any other call (the first one, a stride above one,
+audit="final", a run's closing audit, or an arbitrary t) runs the full
+audit, a plain-Python sweep over the whole state, which is also the
+reference the tests hold the delta to.
 
 The module also contains the machinery for the quadratic lower bound:
 rigid 4-interval gadgets whose pairwise overlap patterns admit no valid
@@ -676,9 +678,10 @@ class KineticMaintainer:
         """Raise InvariantError unless chain and coloring are valid at t.
 
         A check right after one event batch, with the previous passing
-        check before that batch, checks only what the batch can have
-        changed (_check_invariants_delta); every other call runs the full
-        audit over the whole state (_check_invariants_sweep).
+        check before that batch, takes the batch audit, local for C3 and
+        conflict-freeness and on whole arrays for the other rules
+        (_check_invariants_delta); every other call runs the full audit
+        over the whole state (_check_invariants_sweep).
         """
         cert, self._cert = self._cert, None
         if cert is not None and self._delta_applies(cert, t):
@@ -709,80 +712,56 @@ class KineticMaintainer:
         return before < cert.t < when < t and (nxt is None or t < nxt)
 
     def _check_invariants_delta(self, t, cert):
-        """The audit restricted to what changed since the certificate.
+        """The audit after one batch since the certificate.
 
-        Touched ids are those whose chain membership or palette code differs
-        from the certificate's, and the batch's event pairs.  Checked are the
-        color rule on touched ids; C1 and the overlapping-neighbour rule near
-        touched chain members and the slots of dropped ones; C2 for touched
-        non-chain intervals and those meeting an event window or a dropped
-        member's span; C3 for the LL/RR pairs and for added members against
-        all intervals; conflict-freeness inside event windows and recolored
-        spans.  An event window spans the event's two crossing endpoints.
+        The color rule, C1, the overlapping-neighbour rule and C2 are
+        checked on whole arrays, at about the cost that evaluating every
+        endpoint at t and sorting the chain already have.  Local stays
+        only what the locality argument makes local: C3 for the batch's
+        LL/RR pairs and for members added since the certificate, and
+        conflict-freeness inside the event windows and recolored spans
+        (_conflict_since), where an event window spans the event's two
+        crossing endpoints.
         """
         vid, vpos = self._vid, self._vpos
         mask, codes = self._chain_mask, self._codes
         lefts, rights = self._ends(t)
         batch = self.events[cert.cursor : self.cursor]
-        moved = mask != cert.mask
-        hit = moved | (codes != cert.codes)
-        for ev in batch:
-            hit[vpos[ev.id1]] = hit[vpos[ev.id2]] = True
-        touched = hit.nonzero()[0]
         if not mask.any():
             raise InvariantError("empty chain with live intervals")
         # color rule: members wear a chain color, the rest dummy (code 0)
-        bad = mask[touched] == (codes[touched] == 0)
+        bad = mask == (codes == 0)
         if bad.any():
-            k = touched[bad.argmax()]
+            k = bad.argmax()
             if mask[k]:
                 raise InvariantError(f"chain member {vid[k]} is dummy")
             raise InvariantError(
                 f"non-chain interval {vid[k]} has color {_PALETTE[codes[k]]}"
             )
 
-        # C1 and overlapping neighbours, within two places of each change
+        # C1 and overlapping neighbours along the chain order
         cidx = mask.nonzero()[0]
         order = cidx[lefts[cidx].argsort(kind="stable")]
         cl, cr, cc = lefts[order], rights[order], codes[order]
-        rank = np.empty(len(vid), dtype=np.intp)
-        rank[order] = np.arange(order.size)
-        dropped = (moved & ~mask).nonzero()[0]
-        anchors = set(rank[touched[mask[touched]]].tolist())
-        anchors.update(cl.searchsorted(lefts[dropped]).tolist())
-        size = order.size
-        for k in sorted({a + d for a in anchors for d in (-2, -1, 0, 1)}):
-            if k < 0 or k + 1 >= size:
-                continue
-            if k + 2 < size and cr.item(k) >= cl.item(k + 2):
-                a, b = vid[order.item(k)], vid[order.item(k + 2)]
-                raise InvariantError(f"chain members {a} and {b} both meet a point")
-            if cl.item(k + 1) <= cr.item(k) and cc.item(k + 1) == cc.item(k):
-                a, b = vid[order.item(k)], vid[order.item(k + 1)]
-                raise InvariantError(f"overlapping chain members {a}, {b} share a color")
+        bad = cr[:-2] >= cl[2:]
+        if bad.any():
+            k = bad.argmax()
+            a, b = vid[order[k]], vid[order[k + 2]]
+            raise InvariantError(f"chain members {a} and {b} both meet a point")
+        bad = (cl[1:] <= cr[:-1]) & (cc[1:] == cc[:-1])
+        if bad.any():
+            k = bad.argmax()
+            a, b = vid[order[k]], vid[order[k + 1]]
+            raise InvariantError(f"overlapping chain members {a}, {b} share a color")
 
-        # C2 wherever the cover or a covered interval may have changed
-        spans = [_event_window(ev, vpos, lefts, rights) for ev in batch]
-        spans += [(lefts.item(k), rights.item(k)) for k in dropped.tolist()]
-        near = _meeting(lefts, rights, spans) | hit
-        nc = (near & ~mask).nonzero()[0]
-        starts = cl.searchsorted(lefts[nc], side="right").tolist()
-        for k, p, lx, rx in zip(
-            nc.tolist(), starts, lefts[nc].tolist(), rights[nc].tolist()
-        ):
-            # walk the members from the last one starting at or before lx;
-            # if the walk stops short of rx, an earlier long member may
-            # still cover, so the merged cover decides
-            p -= 1
-            reach = cr.item(p) if p >= 0 else lx
-            while p >= 0 and reach < rx and p + 1 < size and cl.item(p + 1) <= reach:
-                p += 1
-                reach = max(reach, cr.item(p))
-            if p < 0 or reach < rx:
-                seg_starts, seg_ends = _union_segments(cl, np.sort(cr))
-                seg = int(seg_starts.searchsorted(lx, side="right")) - 1
-                if seg < 0 or rx > seg_ends[seg]:
-                    raise InvariantError(f"interval {vid[k]} escapes the chain cover")
+        # C2: each non-chain interval inside one segment of the merged cover
+        nc = (~mask).nonzero()[0]
+        seg_starts, seg_ends = _union_segments(cl, np.sort(cr))
+        seg = seg_starts.searchsorted(lefts[nc], side="right") - 1
+        bad = (seg < 0) | (rights[nc] > seg_ends[seg])
+        if bad.any():
+            k = nc[bad.argmax()]
+            raise InvariantError(f"interval {vid[k]} escapes the chain cover")
 
         # C3: containment changes only at LL/RR swaps and for new members
         for ev in batch:
@@ -793,7 +772,7 @@ class KineticMaintainer:
                     earlier = ly < lm or (ly == lm and ky < km)
                     if mask.item(km) and earlier and rights.item(km) <= rights.item(ky):
                         raise InvariantError(f"chain member {m} is contained")
-        for km in (moved & mask).nonzero()[0].tolist():
+        for km in (mask & ~cert.mask).nonzero()[0].tolist():
             outer = (lefts <= lefts[km]) & (rights >= rights[km])
             outer[km] = False
             # an equal left counts only for an earlier position, as in a stable sort

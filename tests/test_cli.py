@@ -322,6 +322,21 @@ class TestVerify:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "text,err",
+        [("I x 1 5\n", "line 1: invalid literal for int() with base 10: 'x'"),
+         ("I 0 5 1\n", "line 1: interval 0: left must be < right, got [5, 1]"),
+         ("I 0 1 nan\n", "line 1: interval 0: endpoints must be finite, got [1, nan]"),
+         ("D q\n", "line 1: invalid literal for int() with base 10: 'q'"),
+         ("I 0 1 5\nA z 0 0\n", "line 2: invalid literal for int() with base 10: 'z'"),
+         ("I 0 1 5\nA 0 0 0\nR y 0 1\n",
+          "line 3: invalid literal for int() with base 10: 'y'"),
+         ("SUMMARY colors=x\n", "line 1: invalid literal for int() with base 10: 'x'")],
+    )
+    def test_malformed_record_names_its_line(self, capsys, tmp_path, text, err):
+        log = write(tmp_path, "m.log", text)
+        assert cli(capsys, "verify", "--log", log) == (2, "", f"verify: {err}\n")
+
 
 class TestBench:
     def test_header_and_rows(self, capsys):

@@ -426,6 +426,43 @@ class TestDeltaCertification:
         _step_batch(km)
         assert not km._delta_applies(cert, rec.t_eval)  # two batches
 
+    def test_delta_checks_the_chain_rules_beyond_the_batch(self):
+        """A fault on an id outside the batch, copied into the certificate
+        so that the diff does not show it: whenever the sweep fails it by
+        C1, C2, the color rule or a shared color, the delta fails it too."""
+        rng = random.Random(22)
+        rules = ("both meet a point", "escapes the chain cover", "is dummy",
+                 "has color", "share a color")
+        caught = 0
+        for _ in range(8):
+            km = KineticMaintainer(random_scenario(rng, 40), 0.0, 10.0)
+            while (rec := _step_batch(km)) is not None:
+                t, cert = rec.t_eval, km._cert
+                if cert is not None and km._delta_applies(cert, t) and rng.random() < 0.25:
+                    batch = km.events[cert.cursor : km.cursor]
+                    paired = {i for ev in batch for i in (ev.id1, ev.id2)}
+                    k = km._vpos[rng.choice([i for i in km._vid if i not in paired])]
+                    right = km._chain_mask[k], km._codes[k]
+                    if rng.random() < 0.5:  # flip membership, with a fitting code
+                        km._chain_mask[k] = not right[0]
+                        km._codes[k] = rng.randint(1, 3) if km._chain_mask[k] else 0
+                    else:  # a raw code
+                        km._codes[k] = rng.randrange(len(_PALETTE))
+                    doctored = _Certificate(
+                        cert.cursor, cert.t, cert.codes.copy(), cert.mask.copy()
+                    )
+                    doctored.codes[k], doctored.mask[k] = km._codes[k], km._chain_mask[k]
+                    try:
+                        km._check_invariants_sweep(t)
+                    except InvariantError as exc:
+                        if any(rule in str(exc) for rule in rules):
+                            with pytest.raises(InvariantError):
+                                km._check_invariants_delta(t, doctored)
+                            caught += 1
+                    km._chain_mask[k], km._codes[k] = right
+                km.check_invariants(t)
+        assert caught > 1000
+
 
 class TestExactMode:
     def test_exact_event_times_are_rational(self):
