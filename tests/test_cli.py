@@ -337,6 +337,77 @@ class TestVerify:
         log = write(tmp_path, "m.log", text)
         assert cli(capsys, "verify", "--log", log) == (2, "", f"verify: {err}\n")
 
+    OPENED = "I 0 1 5\nA 0 0 0\n"
+
+    @pytest.mark.parametrize(
+        "text,trace,err",
+        [
+            pytest.param(OPENED + "I 0 2 6\n", None, "line 3: duplicate live id 0",
+                         id="duplicate-live-id"),
+            pytest.param("D 4\n", None, "line 1: delete of unknown id 4",
+                         id="delete-of-unknown-id"),
+            pytest.param("A 0 0 0\n", None,
+                         "line 1: assignment outside an insert operation",
+                         id="A-before-any-op"),
+            pytest.param(OPENED + "D 0\nA 0 0 1\n", None,
+                         "line 4: assignment outside an insert operation",
+                         id="A-after-D"),
+            pytest.param(OPENED + "SUMMARY n=1\nA 0 0 1\n", None,
+                         "line 4: assignment outside an insert operation",
+                         id="A-after-SUMMARY"),
+            pytest.param("I 0 1 5\nA 3 0 0\n", None,
+                         "line 2: initial color for 3 but op inserted 0",
+                         id="A-for-another-id"),
+            pytest.param(OPENED + "A 0 0 1\n", None, "line 3: interval 0 colored twice",
+                         id="colored-twice"),
+            pytest.param("I 0 1\n", None, "line 1: expected 'I <id> <left> <right>'",
+                         id="I-arity"),
+            pytest.param("D 0 1\n", None, "line 1: expected 'D <id>'", id="D-arity"),
+            pytest.param("I 0 1 5\nA 0\n", None, "line 2: expected 'A <id> <color>'",
+                         id="A-arity"),
+            pytest.param(OPENED + "R 0\n", None, "line 3: expected 'R <id> <color>'",
+                         id="R-arity"),
+            pytest.param("I 0 1 5\nA 0 0\n", None,
+                         "line 2: expected '<tag> <id> <level> <index>' or dummy",
+                         id="color-arity-short"),
+            pytest.param(OPENED + "R 0 0 1 2\n", None,
+                         "line 3: expected '<tag> <id> <level> <index>' or dummy",
+                         id="color-arity-long"),
+            pytest.param("I 0 1 5\nA 0 0 x\n", None,
+                         "line 2: color fields must be integers", id="non-integer-color"),
+            pytest.param("R 0 0 1\n", None, "line 1: recolor outside an operation",
+                         id="R-before-any-op"),
+            pytest.param(OPENED + "SUMMARY\nR 0 0 1\n", None,
+                         "line 4: recolor outside an operation", id="R-after-SUMMARY"),
+            pytest.param("I 0 1 5\nR 0 0 1\n", None,
+                         "line 2: recolor of never-colored id 0", id="R-of-never-colored"),
+            pytest.param(OPENED + "SUMMARY colors\n", None,
+                         "line 3: bad summary token 'colors'", id="bad-summary-token"),
+            pytest.param("E 1 RR 0 1\n", None,
+                         "line 1: kinetic logs are not replayable here", id="E-record"),
+            pytest.param(OPENED + "K 0 0 0 2 0\n", None,
+                         "line 3: kinetic logs are not replayable here", id="K-record"),
+            pytest.param("Q 0 1 5\n", None, "line 1: unknown record 'Q'",
+                         id="unknown-tag"),
+            pytest.param(OPENED, "I 0 1 5\nI 1 2 6\n",
+                         "log covers 1 of 2 trace operations", id="log-covers-k-of-m"),
+            pytest.param(OPENED, "I 0 1 6\n",
+                         "line 1: log insert does not match the trace",
+                         id="trace-insert-mismatch"),
+            pytest.param(OPENED + "I 1 2 6\nA 1 0 1\n", "I 0 1 5\n",
+                         "line 3: log insert does not match the trace",
+                         id="trace-insert-past-the-end"),
+            pytest.param(OPENED + "D 0\n", "I 0 1 5\nD 1\n",
+                         "line 3: log delete does not match the trace",
+                         id="trace-delete-mismatch"),
+        ],
+    )
+    def test_rejection(self, capsys, tmp_path, text, trace, err):
+        argv = ["verify", "--log", write(tmp_path, "rej.log", text)]
+        if trace is not None:
+            argv += ["--trace", write(tmp_path, "rej.trace", trace)]
+        assert cli(capsys, *argv) == (2, "", f"verify: {err}\n")
+
 
 class TestBench:
     def test_header_and_rows(self, capsys):
