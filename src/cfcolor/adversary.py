@@ -38,6 +38,7 @@ from .chain import connected_components
 from .core import (
     Color,
     ColoringState,
+    EngineError,
     Insert,
     Interval,
     InvariantError,
@@ -396,7 +397,7 @@ def run_general_adversary(
 
     def once(engine, r: int) -> AdversaryReport:
         if r < 1:
-            raise InvariantError("general driver needs a recoloring budget >= 1")
+            raise EngineError("general driver needs a recoloring budget >= 1")
         return _play(_Driver(engine, "general", n, r, audit), _general_round)
 
     return _adapt(once, engine_factory, budget_r, 1)
@@ -423,7 +424,7 @@ def run_local_adversary(
 ) -> AdversaryReport:
     def once(engine, r: int) -> AdversaryReport:
         if r < 0:
-            raise InvariantError("negative recoloring budget")
+            raise EngineError("negative recoloring budget")
         return _play(_Driver(engine, "local", n, r, audit), _local_round)
 
     return _adapt(once, engine_factory, budget_r, 0)

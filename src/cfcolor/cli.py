@@ -12,7 +12,8 @@ Log vocabulary (one record per line, `#` comments allowed):
 
 `run`, `bench` and `adversary` apply ops through one loop, core.replay;
 `run` and `adversary` pass it a _RecordingEngine, which writes the I/D
-and A/R records.  `kinetic` streams the maintainer's own event loop.
+and A/R records, and `verify` reads such logs through cfcolor.verify.
+`kinetic` streams the maintainer's own event loop.
 
 Exit codes: 0 ok, 1 conflict-freeness violation, 2 input error,
 3 internal invariant failure.
@@ -31,9 +32,7 @@ from typing import TextIO
 
 from .adversary import check_tradeoff, run_general_adversary, run_local_adversary
 from .core import (
-    DUMMY,
     Color,
-    ColoringState,
     Delete,
     EngineError,
     Insert,
@@ -43,7 +42,6 @@ from .core import (
     format_color,
     format_number,
     format_op,
-    is_conflict_free_fast,
     parse_number,
     parse_trace,
     replay,
@@ -51,6 +49,7 @@ from .core import (
 from .kinetic import KineticMaintainer, format_scenario, lowerbound_scenario, parse_scenario
 from .methods import build_engine, method_label, parse_method_spec, validate_method
 from .online import nested_lowerbound_instance
+from .verify import check_run_log, run_summary
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -98,6 +97,13 @@ def _method_from_args(args) -> tuple[str, dict]:
     return validate_method(args.method, flags)
 
 
+def _size(n: int) -> int:
+    """A --n value: every generator, driver and bench row needs one op."""
+    if n < 1:
+        raise EngineError(f"--n must be at least 1, got {n}")
+    return n
+
+
 def _report_conflict(witness, gap) -> None:
     """Print the conflict line, and name the gap when the witness, its
     midpoint, rounded onto one of its endpoints (adjacent floats)."""
@@ -114,16 +120,8 @@ def cmd_run(args) -> int:
         if not verdict.ok:
             _report_conflict(verdict.witness, verdict.gap)
             return EXIT_VIOLATION
-        state = engine.state
-        colors = len(state.colors_seen(include_dummy=True))
-        out.write(
-            "SUMMARY colors={} n={} recolor_total={} recolor_max={}\n".format(
-                colors,
-                len(state.intervals),
-                state.ledger.total(),
-                state.ledger.max_per_update(),
-            )
-        )
+        totals = run_summary(engine.state)
+        out.write("SUMMARY " + " ".join(f"{k}={v}" for k, v in totals.items()) + "\n")
     return EXIT_OK
 
 
@@ -146,6 +144,7 @@ def _gen_random_ops(rng: random.Random, count: int, p_delete: float, span: float
 
 
 def cmd_gen(args) -> int:
+    _size(args.n)
     rng = random.Random(args.seed)
     with _Out(args.out) as out:
         if args.kind == "random":
@@ -205,7 +204,7 @@ def _bench_trace(name: str, params: dict, n: int, seed: int):
 def cmd_bench(args) -> int:
     specs = [parse_method_spec(s) for s in args.method]
     try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+        sizes = [_size(int(tok)) for tok in args.sizes.split(",") if tok]
     except ValueError:
         raise EngineError(f"bad --n list {args.sizes!r}") from None
     if not sizes:
@@ -237,174 +236,29 @@ def cmd_bench(args) -> int:
                     print(f"bench: {label} n={n}: {exc}", file=sys.stderr)
                     continue
                 elapsed = time.perf_counter() - started
-                state = engine.state
-                total = state.ledger.total()
-                writer.writerow(
-                    [
-                        name,
-                        n,
-                        param_part,
-                        len(state.colors_seen(include_dummy=True)),
-                        total,
-                        state.ledger.max_per_update(),
-                        format_number(round(total / n, 6)),
-                        f"{elapsed:.6f}" if args.timings else "",
-                    ]
-                )
+                totals = run_summary(engine.state)
+                total = totals["recolor_total"]
+                writer.writerow([
+                    name, n, param_part, totals["colors"], total, totals["recolor_max"],
+                    format_number(round(total / n, 6)), f"{elapsed:.6f}" if args.timings else "",
+                ])
     return EXIT_OK
 
 
 # ----------------------------------------------------------------- verify
 
 
-class _LogMismatch(Exception):
-    pass
-
-
 def cmd_verify(args) -> int:
     log_lines = _read_text(args.log).splitlines()
-    trace_ops = (
-        parse_trace(_read_text(args.trace).splitlines())
-        if args.trace is not None
-        else None
-    )
-    state = ColoringState()
-    op_open = False
-    last_insert: int | None = None
-    op_index = 0
-
-    def fail(lineno: int, message: str) -> _LogMismatch:
-        return _LogMismatch(f"line {lineno}: {message}")
-
-    def close_op(lineno: int):
-        nonlocal op_open
-        if not op_open:
-            return None
-        # A is accepted only for the op's own insert and R needs a color, so
-        # that insert is the one live id that can still lack a color
-        if last_insert is not None and last_insert not in state.assignment:
-            raise fail(lineno, f"interval {last_insert} was never assigned a color")
-        verdict = is_conflict_free_fast(state.intervals.values(), state.assignment)
-        op_open = False
-        return verdict if not verdict.ok else None
-
-    def parse_color(parts, lineno) -> Color:
-        if len(parts) == 3 and parts[2] == "dummy":
-            return DUMMY
-        if len(parts) != 4:
-            raise fail(lineno, "expected '<tag> <id> <level> <index>' or dummy")
-        try:
-            return Color(int(parts[2]), int(parts[3]))
-        except ValueError:
-            raise fail(lineno, "color fields must be integers") from None
-
+    trace = None if args.trace is None else parse_trace(_read_text(args.trace).splitlines())
     try:
-        for lineno, raw in enumerate(log_lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            tag = parts[0]
-            if tag in ("I", "D"):
-                bad = close_op(lineno)
-                if bad is not None:
-                    _report_conflict(bad.witness, bad.gap)
-                    return EXIT_VIOLATION
-                if tag == "I":
-                    if len(parts) != 4:
-                        raise fail(lineno, "expected 'I <id> <left> <right>'")
-                    iv = Interval(
-                        int(parts[1]), parse_number(parts[2]), parse_number(parts[3])
-                    )
-                    if trace_ops is not None:
-                        if op_index >= len(trace_ops) or trace_ops[op_index] != Insert(iv):
-                            raise fail(lineno, "log insert does not match the trace")
-                    if iv.id in state.intervals:
-                        raise fail(lineno, f"duplicate live id {iv.id}")
-                    state.add(iv)
-                    last_insert = iv.id
-                else:
-                    if len(parts) != 2:
-                        raise fail(lineno, "expected 'D <id>'")
-                    iid = int(parts[1])
-                    if trace_ops is not None:
-                        if op_index >= len(trace_ops) or trace_ops[op_index] != Delete(iid):
-                            raise fail(lineno, "log delete does not match the trace")
-                    if iid not in state.intervals:
-                        raise fail(lineno, f"delete of unknown id {iid}")
-                    state.remove(iid)
-                    last_insert = None
-                op_index += 1
-                op_open = True
-                state.ledger.begin()
-            elif tag == "A":
-                if len(parts) < 3:
-                    raise fail(lineno, "expected 'A <id> <color>'")
-                if not op_open or last_insert is None:
-                    raise fail(lineno, "assignment outside an insert operation")
-                iid = int(parts[1])
-                if iid != last_insert:
-                    raise fail(
-                        lineno, f"initial color for {iid} but op inserted {last_insert}"
-                    )
-                if iid in state.assignment:
-                    raise fail(lineno, f"interval {iid} colored twice")
-                state.set_color(iid, parse_color(parts, lineno))
-            elif tag == "R":
-                if len(parts) < 3:
-                    raise fail(lineno, "expected 'R <id> <color>'")
-                if not op_open:
-                    raise fail(lineno, "recolor outside an operation")
-                iid = int(parts[1])
-                if iid not in state.intervals:
-                    raise fail(lineno, f"recolor of unknown id {iid}")
-                if iid not in state.assignment:
-                    raise fail(lineno, f"recolor of never-colored id {iid}")
-                color = parse_color(parts, lineno)
-                if not state.set_color(iid, color):
-                    raise fail(
-                        lineno, f"recolor of {iid} keeps its color {format_color(color)}"
-                    )
-            elif tag == "SUMMARY":
-                bad = close_op(lineno)
-                if bad is not None:
-                    _report_conflict(bad.witness, bad.gap)
-                    return EXIT_VIOLATION
-                ledger = state.ledger
-                measured = {
-                    "colors": len(state.colors_seen()),
-                    "n": len(state.intervals),
-                    "recolor_total": ledger.total(),
-                    "recolor_max": ledger.max_per_update(),
-                    "max_recolor": ledger.max_per_update(),
-                }
-                for token in parts[1:]:
-                    key, eq, value = token.partition("=")
-                    if not eq:
-                        raise fail(lineno, f"bad summary token {token!r}")
-                    if key in measured and int(value) != measured[key]:
-                        raise fail(
-                            lineno,
-                            f"summary {key}={value} but replay measured {measured[key]}",
-                        )
-            elif tag in ("E", "K"):
-                raise fail(lineno, "kinetic logs are not replayable here")
-            else:
-                raise fail(lineno, f"unknown record {tag!r}")
-        bad = close_op(len(log_lines))
-        if bad is not None:
-            _report_conflict(bad.witness, bad.gap)
-            return EXIT_VIOLATION
-        if trace_ops is not None and op_index != len(trace_ops):
-            raise _LogMismatch(
-                f"log covers {op_index} of {len(trace_ops)} trace operations"
-            )
-    except _LogMismatch as exc:
+        verdict = check_run_log(log_lines, trace)
+    except ValueError as exc:  # TraceError names the record's line
         print(f"verify: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:  # a malformed number or interval in a record
-        print(f"verify: line {lineno}: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if not verdict.ok:
+        _report_conflict(verdict.witness, verdict.gap)
+        return EXIT_VIOLATION
     return EXIT_OK
 
 
@@ -444,6 +298,7 @@ class _RecordingEngine:
 
 
 def cmd_adversary(args) -> int:
+    _size(args.n)
     spec = parse_method_spec(args.engine)
     buffers: list[io.StringIO] = []
 

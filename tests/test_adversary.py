@@ -18,7 +18,7 @@ from cfcolor.baseline import (
     TrivialEngine,
     UniqueColorEngine,
 )
-from cfcolor.core import Color, Interval
+from cfcolor.core import Color, EngineError, Interval
 from cfcolor.engine_dynamic import DynamicEngine
 
 
@@ -225,6 +225,15 @@ class TestLocalAdversary:
             assert len(last) == 1
             everything = [iv for members in report.rounds[:-1] for iv in members]
             assert all(last[0].contains_interval(iv) for iv in everything)
+
+
+@pytest.mark.parametrize(
+    "runner,budget",
+    [(run_general_adversary, 0), (run_general_adversary, -3), (run_local_adversary, -1)],
+)
+def test_budget_below_the_floor_is_an_engine_error(runner, budget):
+    with pytest.raises(EngineError, match="budget"):
+        runner(TrivialEngine, 16, budget_r=budget)
 
 
 class TestTradeoff:

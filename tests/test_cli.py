@@ -457,6 +457,20 @@ class TestBench:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv,n",
+    [(("bench", "--method", "trivial", "--n", "0"), 0),
+     (("bench", "--method", "trivial", "--n", "-4"), -4),
+     (("bench", "--method", "trivial", "--n", "16,0"), 0),
+     (("gen", "kinetic-lb", "--n", "0"), 0),
+     (("gen", "random", "--n", "-3"), -3),
+     (("gen", "nested-lb", "--n", "0"), 0),
+     (("adversary", "--kind", "general", "--n", "-8", "--engine", "trivial"), -8)],
+)
+def test_size_below_one_is_an_input_error(capsys, argv, n):
+    assert cli(capsys, *argv) == (2, "", f"error: --n must be at least 1, got {n}\n")
+
+
 class TestAdversary:
     def test_general_transcript_verifies(self, capsys, tmp_path):
         log = str(tmp_path / "adv.log")
@@ -487,6 +501,18 @@ class TestAdversary:
         )
         assert code == 0
         assert "consistent=n/a" in out
+
+    @pytest.mark.parametrize(
+        "kind,budget,err",
+        [("general", "0", "general driver needs a recoloring budget >= 1"),
+         ("local", "-1", "negative recoloring budget")],
+    )
+    def test_bad_recoloring_budget_is_an_input_error(self, capsys, kind, budget, err):
+        code, _, stderr = cli(
+            capsys, "adversary", "--kind", kind, "--n", "16", "--budget-r", budget,
+            "--engine", "trivial",
+        )
+        assert (code, stderr) == (2, f"error: {err}\n")
 
     def test_unknown_engine(self, capsys):
         code, _, err = cli(
