@@ -217,6 +217,8 @@ class _Driver:
     collects the rounds, designated colors and stars of its report."""
 
     def __init__(self, engine, kind: str, n: int, r: int, audit: str):
+        if n < 2:  # the first round's n // 2 intervals
+            raise EngineError(f"{kind} driver needs n >= 2, got {n}")
         self.engine = engine
         self.kind = kind
         self.n = n
@@ -436,7 +438,9 @@ def run_local_adversary(
 def check_tradeoff(n: int, c: int, r: int, kind: str = "general") -> bool | None:
     """Is the observed (colors, max recolorings) pair consistent with the
     provable color/recoloring tradeoff?  None when r = 0 makes the bound
-    inapplicable."""
+    inapplicable; c below 1 is a ValueError."""
+    if c < 1:
+        raise ValueError(f"the tradeoff needs c >= 1, got {c}")
     if r <= 0:
         return None
     if kind == "general":

@@ -299,6 +299,8 @@ class _RecordingEngine:
 
 def cmd_adversary(args) -> int:
     _size(args.n)
+    if args.budget_c is not None and args.budget_c < 1:
+        raise EngineError(f"--budget-c must be at least 1, got {args.budget_c}")
     spec = parse_method_spec(args.engine)
     buffers: list[io.StringIO] = []
 

@@ -28,6 +28,16 @@ dummy is code 0.  Its colors and chain are views built from them, and
 the same array code serves both modes: numpy sorts, searches and
 compares object arrays of Fractions exactly.
 
+The event handlers read the chain order from a list of the members' ids
+that the maintainer keeps across events, in _order's own order: left end
+at the post-event time of the last step, then position.  Only crossing
+left ends reorder it, so a lone LL crossing of two members swaps them,
+and a batch of several events at one time re-sorts once; a member joins
+by bisection and leaves by removal.  The escape test bisects the same
+list and walks forward over the members the interval spans, instead of
+merging the whole chain cover.  _order, _chain_segments and
+_merged_chain stay the reference that the full audit and the tests use.
+
 check_invariants(t) audits C1-C3, the color rule and conflict-freeness.
 Every passing audit leaves a certificate: the cursor, t, and copies of
 the codes and the chain mask.  When the events since then form exactly
@@ -57,7 +67,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -405,6 +415,9 @@ class KineticMaintainer:
         # state at the last passing check; see check_invariants
         self._cert: _Certificate | None = None
         self._init_chain()
+        # the chain ids as _order(_order_t) lists them, kept across events
+        self._order_t = t0
+        self._chain_order = self._order(t0)
 
     @property
     def colors(self) -> Mapping[int, Color]:
@@ -438,14 +451,48 @@ class KineticMaintainer:
         order = cidx[(self._va0[cidx] + self._vva[cidx] * t).argsort(kind="stable")]
         return self._vid_arr[order].tolist()
 
-    def _neighbor(self, order, iid, side):
+    def _neighbor(self, iid, side):
+        """iid's predecessor or successor in the kept chain order, or None."""
+        order = self._chain_order
         pos = order.index(iid)
         if side == "pred":
             return order[pos - 1] if pos > 0 else None
         return order[pos + 1] if pos + 1 < len(order) else None
 
+    def _left_now(self, iid):
+        """iid's left end at _order_t, the value _order's arrays give: they
+        hold the same numbers (as float64, or the same Fractions), and one
+        multiply and one add round alike in numpy and in Python."""
+        return self.trajs[iid].left(self._order_t)
+
+    def _right_now(self, iid):
+        return self.trajs[iid].right(self._order_t)
+
+    def _order_key(self, iid):
+        return self._left_now(iid), self._vpos[iid]
+
+    def _advance_order(self, ev, t):
+        """Bring the kept chain order to t, the event's post-event time.
+
+        Between two batches only the batch's crossings reorder left ends.
+        A lone LL crossing of two members swaps them, adjacent as their
+        lefts were just before they met; a batch of several events at one
+        time re-sorts once, at its first event.
+        """
+        c, events = self.cursor, self.events
+        if c and events[c - 1].time == ev.time:
+            return
+        self._order_t = t
+        if c + 1 < len(events) and events[c + 1].time == ev.time:
+            self._chain_order = self._order(t)
+        elif ev.kind == "LL" and self._member(ev.id1) and self._member(ev.id2):
+            order = self._chain_order
+            i, j = order.index(ev.id1), order.index(ev.id2)
+            order[i], order[j] = order[j], order[i]
+
     def _intersects(self, i, j, t) -> bool:
-        return self.trajs[i].at(t).intersects(self.trajs[j].at(t))
+        ti, tj = self.trajs[i], self.trajs[j]
+        return ti.left(t) <= tj.right(t) and tj.left(t) <= ti.right(t)
 
     def _merged_chain(self, t):
         segs = []
@@ -464,11 +511,29 @@ class KineticMaintainer:
         cr = self._vb0[cidx] + self._vvb[cidx] * t
         return _union_segments(np.sort(cl), np.sort(cr))
 
-    def _covered_by_chain(self, iid, t) -> bool:
-        starts, ends = self._chain_segments(t)
-        tr = self.trajs[iid]
-        pos = int(starts.searchsorted(tr.left(t), side="right")) - 1
-        return pos >= 0 and tr.right(t) <= ends[pos]
+    def _covered_by_chain(self, iid) -> bool:
+        """Does the chain's union hold iid at _order_t?
+
+        Walks the kept order forward from the last member whose left end
+        is at most iid's, starting from the larger right end of that
+        member and its predecessor: under C1 no earlier member reaches
+        iid's left end, and under C3 none reaches past that member.  So
+        the answer is _chain_segments' while either rule holds among the
+        members before iid; the tests hold it to that on every call.
+        """
+        order = self._chain_order
+        lo, hi = self._left_now(iid), self._right_now(iid)
+        pos = bisect_right(order, lo, key=self._left_now) - 1
+        if pos < 0:
+            return False
+        reach = self._right_now(order[pos])
+        if pos:
+            reach = max(reach, self._right_now(order[pos - 1]))
+        k = pos + 1
+        while reach < hi and k < len(order) and self._left_now(order[k]) <= reach:
+            reach = max(reach, self._right_now(order[k]))
+            k += 1
+        return reach >= hi
 
     # ------------------------------------------------------------ coloring
 
@@ -481,10 +546,18 @@ class KineticMaintainer:
         self.seen = {_PALETTE[c] for c in set(self._codes.tolist())}
 
     def _chain_add(self, iid):
-        self._chain_mask[self._vpos[iid]] = True
+        """Make iid a member.  Like _chain_drop it does nothing when the
+        mask already agrees, so the kept order never holds an id twice."""
+        k = self._vpos[iid]
+        if not self._chain_mask.item(k):
+            self._chain_mask[k] = True
+            insort(self._chain_order, iid, key=self._order_key)
 
     def _chain_drop(self, iid):
-        self._chain_mask[self._vpos[iid]] = False
+        k = self._vpos[iid]
+        if self._chain_mask.item(k):
+            self._chain_mask[k] = False
+            self._chain_order.remove(iid)
 
     def _set(self, iid, color) -> bool:
         k, code = self._vpos[iid], _CODE[color]
@@ -505,11 +578,8 @@ class KineticMaintainer:
                 return
         raise InvariantError("no chain color available")  # |avoid| <= 2
 
-    def _color_added(self, aid, t):
-        order = self._order(t)
-        self._set_avoiding(
-            aid, [self._neighbor(order, aid, side) for side in ("pred", "succ")]
-        )
+    def _color_added(self, aid):
+        self._set_avoiding(aid, [self._neighbor(aid, side) for side in ("pred", "succ")])
 
     # -------------------------------------------------------------- events
 
@@ -522,6 +592,7 @@ class KineticMaintainer:
         t_after = (ev.time + nxt) / 2 if nxt is not None else ev.time + self._half
         self.ledger.begin()
         self._recolored_buf = []
+        self._advance_order(ev, t_after)
         added, removed = self._dispatch(ev, t_before, t_after)
         recolored = self._recolored_buf
         self.cursor += 1
@@ -535,7 +606,7 @@ class KineticMaintainer:
         if ev.kind == "LL":
             return self._endpoint_swap(ev, "succ", t_before, t_after)
         if ev.kind == "RL-meet":
-            return self._meet(ev, t_after)
+            return self._meet(ev)
         if ev.kind == "RL-separate":
             return self._separate(ev, t_after)
         raise InvariantError(f"unknown event kind {ev.kind}")
@@ -558,25 +629,24 @@ class KineticMaintainer:
             # x slid out of y; chain may no longer cover x
             if self._member(x):
                 raise InvariantError(f"contained interval {x} was in the chain")
-            if self._covered_by_chain(x, t_after):
+            if self._covered_by_chain(x):
                 return None, []
             if not self._member(y):
                 raise InvariantError(f"uncovered escape from non-chain interval {y}")
-            nb = self._neighbor(self._order(t_after), y, side)
+            nb = self._neighbor(y, side)
             self._chain_add(x)
             removed = []
             if nb is not None and self._intersects(x, nb, t_after):
                 self._chain_drop(y)
                 removed.append(y)
                 self._set(y, DUMMY)
-            self._color_added(x, t_after)
+            self._color_added(x)
             return x, removed
         if role == "capture":
             if not self._member(x):
                 return None, []
-            order = self._order(t_after)
-            n1 = self._neighbor(order, x, side)
-            n2 = self._neighbor(order, n1, side) if n1 is not None else None
+            n1 = self._neighbor(x, side)
+            n2 = self._neighbor(n1, side) if n1 is not None else None
             self._chain_drop(x)
             removed = [x]
             self._set(x, DUMMY)
@@ -591,15 +661,15 @@ class KineticMaintainer:
                 self._chain_drop(n1)
                 removed.append(n1)
                 self._set(n1, DUMMY)
-            self._color_added(y, t_after)
+            self._color_added(y)
             return y, removed
         return None, []
 
-    def _meet(self, ev, t_after):
+    def _meet(self, ev):
         left_id, right_id = ev.id1, ev.id2  # right endpoint of id1 met left of id2
         if not (self._member(left_id) and self._member(right_id)):
             return None, []
-        order = self._order(t_after)
+        order = self._chain_order
         li, ri = order.index(left_id), order.index(right_id)
         if li > ri:
             li, ri = ri, li
@@ -614,7 +684,7 @@ class KineticMaintainer:
             self._set(mid, DUMMY)
         # the pair is adjacent now; break a color tie by recoloring the left one
         if self._code(left_id) == self._code(right_id):
-            pred = self._neighbor(self._order(t_after), left_id, "pred")
+            pred = self._neighbor(left_id, "pred")
             self._set_avoiding(left_id, [right_id, pred])
         return None, removed
 
@@ -629,9 +699,8 @@ class KineticMaintainer:
             return None, []
         # positions ascend with ids, so the first least left breaks ties by id
         bridge = self._vid[cand[lefts[cand].argmin()]]
-        order = self._order(t_after)
-        old_pred = self._neighbor(order, left_id, "pred")
-        old_succ = self._neighbor(order, right_id, "succ")
+        old_pred = self._neighbor(left_id, "pred")
+        old_succ = self._neighbor(right_id, "succ")
         self._chain_add(bridge)
         removed = []
         if old_pred is not None and self._intersects(bridge, old_pred, t_after):
@@ -642,7 +711,7 @@ class KineticMaintainer:
             self._chain_drop(right_id)
             removed.append(right_id)
             self._set(right_id, DUMMY)
-        self._color_added(bridge, t_after)
+        self._color_added(bridge)
         return bridge, removed
 
     # ---------------------------------------------------------------- runs

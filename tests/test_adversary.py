@@ -236,6 +236,15 @@ def test_budget_below_the_floor_is_an_engine_error(runner, budget):
         runner(TrivialEngine, 16, budget_r=budget)
 
 
+@pytest.mark.parametrize("runner", [run_general_adversary, run_local_adversary])
+def test_size_below_two_is_an_engine_error(runner):
+    # n = 2 plays a first round of one interval; n = 1 would play none
+    assert runner(TrivialEngine, 2).rounds_played >= 1
+    for n in (1, 0):
+        with pytest.raises(EngineError, match=f"needs n >= 2, got {n}"):
+            runner(TrivialEngine, n)
+
+
 class TestTradeoff:
     def test_known_values(self):
         assert check_tradeoff(256, 8, 1, "general") is True
@@ -246,6 +255,12 @@ class TestTradeoff:
         # c = log2(n) - 2 makes r = 0 the boundary; r = 1 clears it
         assert check_tradeoff(256, 8, 1, "local") is True
         assert check_tradeoff(2**20, 2, 1, "local") is False
+
+    @pytest.mark.parametrize("c,r", [(0, 1), (-2, 1), (0, 0), (-1, 5)])
+    @pytest.mark.parametrize("kind", ["general", "local"])
+    def test_fewer_than_one_color_is_a_value_error(self, kind, c, r):
+        with pytest.raises(ValueError, match=f"needs c >= 1, got {c}"):
+            check_tradeoff(64, c, r, kind)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -514,6 +514,20 @@ class TestAdversary:
         )
         assert (code, stderr) == (2, f"error: {err}\n")
 
+    @pytest.mark.parametrize("budget", ["0", "-2"])
+    @pytest.mark.parametrize("kind", ["general", "local"])
+    def test_budget_c_below_one_is_an_input_error(self, capsys, kind, budget):
+        assert cli(
+            capsys, "adversary", "--kind", kind, "--n", "64", "--budget-c", budget,
+            "--engine", "dynamic:t=2",
+        ) == (2, "", f"error: --budget-c must be at least 1, got {budget}\n")
+
+    @pytest.mark.parametrize("kind", ["general", "local"])
+    def test_n_of_one_is_an_input_error(self, capsys, kind):
+        assert cli(
+            capsys, "adversary", "--kind", kind, "--n", "1", "--engine", "trivial",
+        ) == (2, "", f"error: {kind} driver needs n >= 2, got 1\n")
+
     def test_unknown_engine(self, capsys):
         code, _, err = cli(
             capsys, "adversary", "--kind", "general", "--n", "16",
