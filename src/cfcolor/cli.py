@@ -47,7 +47,8 @@ from .core import (
     replay,
 )
 from .kinetic import KineticMaintainer, format_scenario, lowerbound_scenario, parse_scenario
-from .methods import build_engine, method_label, parse_method_spec, validate_method
+from .methods import (INNER_NAMES, METHOD_KEYS, build_engine, method_label, parse_method_spec,
+                      split_method_spec, validate_method)
 from .online import nested_lowerbound_instance
 from .verify import check_run_log, run_summary
 
@@ -85,16 +86,16 @@ class _Out:
 
 
 def _method_from_args(args) -> tuple[str, dict]:
-    flags = {}
-    for key in ("t", "eps", "universe", "L", "inner"):
-        value = getattr(args, key if key != "L" else "block", None)
-        if value is not None:
-            flags[key] = value
-    if ":" in args.method:
-        name, params = parse_method_spec(args.method)
-        params.update(flags)
-        return validate_method(name, params)
-    return validate_method(args.method, flags)
+    """The --method spec with the method flags overriding or filling in keys."""
+    name, params = split_method_spec(args.method)
+    for key in METHOD_KEYS:
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
+    return validate_method(name, params)
+
+
+def _write_summary(out: TextIO, totals: dict) -> None:
+    out.write("SUMMARY " + " ".join(f"{k}={v}" for k, v in totals.items()) + "\n")
 
 
 def _size(n: int) -> int:
@@ -120,8 +121,7 @@ def cmd_run(args) -> int:
         if not verdict.ok:
             _report_conflict(verdict.witness, verdict.gap)
             return EXIT_VIOLATION
-        totals = run_summary(engine.state)
-        out.write("SUMMARY " + " ".join(f"{k}={v}" for k, v in totals.items()) + "\n")
+        _write_summary(out, run_summary(engine.state))
     return EXIT_OK
 
 
@@ -156,12 +156,12 @@ def cmd_gen(args) -> int:
             for iv in nested_lowerbound_instance(args.n):
                 out.write(format_op(Insert(iv)) + "\n")
         elif args.kind == "bounded-length":
-            if args.block is None:
+            if args.L is None:
                 raise EngineError("bounded-length needs --L")
-            if args.block <= 1:
+            if args.L <= 1:
                 raise EngineError("--L must exceed 1")
             for line in _gen_random_ops(
-                rng, args.n, args.p_delete, 4.0 * args.n, 1.0, args.block - 1e-6
+                rng, args.n, args.p_delete, 4.0 * args.n, 1.0, args.L - 1e-6
             ):
                 out.write(line + "\n")
         else:  # kinetic-lb
@@ -293,9 +293,6 @@ class _RecordingEngine:
         self.sink.write(format_op(Delete(iid)) + "\n")
         self.engine.delete(iid)
 
-    def __getattr__(self, name):
-        return getattr(self.engine, name)
-
 
 def cmd_adversary(args) -> int:
     _size(args.n)
@@ -319,11 +316,8 @@ def cmd_adversary(args) -> int:
         out.write(
             f"# tradeoff c={c} r={report.max_recolor} consistent={verdict}\n"
         )
-        out.write(
-            "SUMMARY colors={} max_recolor={} rounds={}\n".format(
-                report.colors_used, report.max_recolor, report.rounds_played
-            )
-        )
+        _write_summary(out, {"colors": report.colors_used, "max_recolor": report.max_recolor,
+                             "rounds": report.rounds_played})
     if not report.cf_ok:
         _report_conflict(report.cf_witness, report.cf_gap)
         return EXIT_VIOLATION
@@ -350,12 +344,7 @@ def cmd_kinetic(args) -> int:
             )
             for iid, color in rec.recolored:
                 out.write(f"R {iid} {format_color(color)}\n")
-        s = km.summary()
-        out.write(
-            "SUMMARY events={} recolor_total={} recolor_max={} colors={}\n".format(
-                s["events"], s["recolor_total"], s["recolor_max"], s["colors"]
-            )
-        )
+        _write_summary(out, km.summary())
     return EXIT_OK
 
 
@@ -377,10 +366,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, default=None, help="rebuild exponent")
         p.add_argument("--universe", type=int, default=None,
                        help="endpoint universe size for fixed engines")
-        p.add_argument("--L", dest="block", type=parse_number, default=None,
+        p.add_argument("--L", type=parse_number, default=None,
                        help="length bound for the grid method")
-        p.add_argument("--inner", default=None,
-                       choices=("trivial", "dynamic", "eps"),
+        p.add_argument("--inner", default=None, choices=INNER_NAMES,
                        help="inner engine for the grid method")
 
     p = sub.add_parser("run", help="replay an update trace through an engine")
@@ -395,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p-delete", type=float, default=0.3)
-    p.add_argument("--L", dest="block", type=parse_number, default=None)
+    p.add_argument("--L", type=parse_number, default=None)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_gen)
 

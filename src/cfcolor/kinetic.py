@@ -35,8 +35,8 @@ left ends reorder it, so a lone LL crossing of two members swaps them,
 and a batch of several events at one time re-sorts once; a member joins
 by bisection and leaves by removal.  The escape test bisects the same
 list and walks forward over the members the interval spans, instead of
-merging the whole chain cover.  _order, _chain_segments and
-_merged_chain stay the reference that the full audit and the tests use.
+merging the whole chain cover.  _order and _merged_chain stay the
+reference that the full audit and the tests use.
 
 check_invariants(t) audits C1-C3, the color rule and conflict-freeness.
 Every passing audit leaves a certificate: the cursor, t, and copies of
@@ -504,13 +504,6 @@ class KineticMaintainer:
                 segs.append([iv.left, iv.right])
         return segs
 
-    def _chain_segments(self, t):
-        """Merged chain cover as sorted (starts, ends) arrays."""
-        cidx = np.flatnonzero(self._chain_mask)
-        cl = self._va0[cidx] + self._vva[cidx] * t
-        cr = self._vb0[cidx] + self._vvb[cidx] * t
-        return _union_segments(np.sort(cl), np.sort(cr))
-
     def _covered_by_chain(self, iid) -> bool:
         """Does the chain's union hold iid at _order_t?
 
@@ -518,7 +511,7 @@ class KineticMaintainer:
         is at most iid's, starting from the larger right end of that
         member and its predecessor: under C1 no earlier member reaches
         iid's left end, and under C3 none reaches past that member.  So
-        the answer is _chain_segments' while either rule holds among the
+        the answer is _merged_chain's while either rule holds among the
         members before iid; the tests hold it to that on every call.
         """
         order = self._chain_order
@@ -867,8 +860,6 @@ class KineticMaintainer:
             (lefts.item(k), rights.item(k))
             for k in (self._codes != cert.codes).nonzero()[0].tolist()
         ]
-        if not windows:
-            return Verdict(True)
         sel = _meeting(lefts, rights, windows).nonzero()[0]
         return _sweep(
             lefts[sel].tolist(),

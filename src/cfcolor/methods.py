@@ -1,11 +1,17 @@
 """Engine registry and the compact method-spec grammar.
 
 A spec is `name` or `name:key=value,key=value`, e.g. `dynamic:t=2`,
-`fixed-chain:U=4096,t=8`, `grid:L=8,inner=trivial`.  The same names and
-keys back the CLI's per-flag form.
+`fixed-chain:U=4096,t=8`, `grid:L=8,inner=trivial`.  One row of _METHODS
+holds all that a method's name means: its engine, its required keys and
+its optional keys with their defaults, in the engine's argument order.
+_KEYS lists every key with the conversion build_engine applies to it.
+The CLI's per-flag form uses the same keys: flags override or fill in
+the keys of a spec, and the merged parameters are validated once.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 from .baseline import TrivialEngine, UniqueColorEngine
 from .core import EngineError, parse_number
@@ -21,32 +27,47 @@ __all__ = [
     "parse_method_spec",
 ]
 
-_ALIASES = {"U": "universe", "universe": "universe", "t": "t", "eps": "eps",
-            "L": "L", "inner": "inner"}
-
 _INNER_FACTORIES = {
     "trivial": TrivialEngine,
     "dynamic": DynamicEngine,
     "eps": EpsilonEngine,
 }
+INNER_NAMES = tuple(_INNER_FACTORIES)
 
-# name -> (required keys, optional keys)
-_SCHEMAS = {
-    "fixed-distinct": ({"universe"}, {"t"}),
-    "fixed-chain": ({"universe"}, {"t"}),
-    "dynamic": (set(), {"t"}),
-    "eps": (set(), {"eps"}),
-    "grid": ({"L"}, {"inner"}),
-    "greedy-nested": (set(), set()),
-    "trivial": (set(), set()),
-    "unique": (set(), set()),
+# key -> its conversion in build_engine; the order is method_label's
+_KEYS = {
+    "universe": int,
+    "t": int,
+    "eps": float,
+    "L": lambda L: L,
+    "inner": _INNER_FACTORIES.__getitem__,
+}
+METHOD_KEYS = tuple(_KEYS)
+_ALIASES = {"U": "universe"}
+
+
+class _Method(NamedTuple):
+    engine: type
+    required: tuple[str, ...]
+    optional: dict  # key -> default
+
+
+_METHODS = {
+    "fixed-distinct": _Method(FixedDistinctEngine, ("universe",), {"t": 2}),
+    "fixed-chain": _Method(FixedChainEngine, ("universe",), {"t": 2}),
+    "dynamic": _Method(DynamicEngine, (), {"t": 2}),
+    "eps": _Method(EpsilonEngine, (), {"eps": 0.5}),
+    "grid": _Method(GridEngine, ("L",), {"inner": "trivial"}),
+    "greedy-nested": _Method(OnlineNestedEngine, (), {}),
+    "trivial": _Method(TrivialEngine, (), {}),
+    "unique": _Method(UniqueColorEngine, (), {}),
 }
 
-METHOD_NAMES = tuple(sorted(_SCHEMAS))
+METHOD_NAMES = tuple(sorted(_METHODS))
 
 
-def parse_method_spec(spec: str) -> tuple[str, dict]:
-    """Split `name:k=v,...` into a validated (name, params) pair."""
+def split_method_spec(spec: str) -> tuple[str, dict]:
+    """Split `name:k=v,...` into (name, params) without validating them."""
     name, _, tail = spec.partition(":")
     params: dict = {}
     if tail:
@@ -54,8 +75,8 @@ def parse_method_spec(spec: str) -> tuple[str, dict]:
             key, eq, value = item.partition("=")
             if not eq or not key or not value:
                 raise EngineError(f"bad method parameter {item!r} in {spec!r}")
-            canon = _ALIASES.get(key)
-            if canon is None:
+            canon = _ALIASES.get(key, key)
+            if canon not in _KEYS:
                 raise EngineError(f"unknown method parameter {key!r} in {spec!r}")
             if canon == "inner":
                 params[canon] = value
@@ -66,57 +87,42 @@ def parse_method_spec(spec: str) -> tuple[str, dict]:
                     raise EngineError(
                         f"non-numeric value for {key!r} in {spec!r}"
                     ) from None
-    return validate_method(name, params)
+    return name, params
+
+
+def parse_method_spec(spec: str) -> tuple[str, dict]:
+    """Split `name:k=v,...` into a validated (name, params) pair."""
+    return validate_method(*split_method_spec(spec))
 
 
 def validate_method(name: str, params: dict) -> tuple[str, dict]:
-    schema = _SCHEMAS.get(name)
-    if schema is None:
+    method = _METHODS.get(name)
+    if method is None:
         known = ", ".join(METHOD_NAMES)
         raise EngineError(f"unknown method {name!r} (known: {known})")
-    required, optional = schema
-    missing = required - params.keys()
+    missing = set(method.required) - params.keys()
     if missing:
         raise EngineError(f"method {name!r} needs {sorted(missing)}")
-    extra = params.keys() - required - optional
+    extra = params.keys() - set(method.required) - method.optional.keys()
     if extra:
         raise EngineError(f"method {name!r} does not take {sorted(extra)}")
-    if params.get("inner") is not None and params["inner"] not in _INNER_FACTORIES:
-        raise EngineError(
-            f"inner engine must be one of {sorted(_INNER_FACTORIES)}"
-        )
+    if "inner" in params and params["inner"] not in _INNER_FACTORIES:
+        raise EngineError(f"inner engine must be one of {sorted(_INNER_FACTORIES)}")
     return name, params
 
 
 def build_engine(spec: str | tuple[str, dict]):
     """Instantiate an engine from a spec string or (name, params) pair."""
-    name, params = parse_method_spec(spec) if isinstance(spec, str) else spec
-    if isinstance(spec, tuple):
-        name, params = validate_method(name, dict(params))
-    if name == "fixed-distinct":
-        return FixedDistinctEngine(int(params["universe"]), int(params.get("t", 2)))
-    if name == "fixed-chain":
-        return FixedChainEngine(int(params["universe"]), int(params.get("t", 2)))
-    if name == "dynamic":
-        return DynamicEngine(int(params.get("t", 2)))
-    if name == "eps":
-        return EpsilonEngine(float(params.get("eps", 0.5)))
-    if name == "grid":
-        return GridEngine(params["L"], _INNER_FACTORIES[params.get("inner", "trivial")])
-    if name == "greedy-nested":
-        return OnlineNestedEngine()
-    if name == "trivial":
-        return TrivialEngine()
-    return UniqueColorEngine()
+    name, params = parse_method_spec(spec) if isinstance(spec, str) else validate_method(*spec)
+    method = _METHODS[name]
+    values = {**method.optional, **params}
+    return method.engine(*(_KEYS[k](values[k]) for k in (*method.required, *method.optional)))
 
 
 def method_label(name: str, params: dict) -> str:
     """Canonical `name:k=v,...` form; stable key order for report columns."""
     if not params:
         return name
-    order = ("universe", "t", "eps", "L", "inner")
-    shown = {"universe": "U"}
-    tail = ",".join(
-        f"{shown.get(k, k)}={params[k]}" for k in order if k in params
-    )
+    shown = {canon: alias for alias, canon in _ALIASES.items()}
+    tail = ",".join(f"{shown.get(k, k)}={params[k]}" for k in _KEYS if k in params)
     return f"{name}:{tail}"

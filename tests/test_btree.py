@@ -264,6 +264,27 @@ class TestBucket:
         assert [iv.id for iv in b.extremes()] == [1, 3]
         b.audit()
 
+    def test_too_many_blocks_join_the_bucket(self):
+        n, cap = btree._SMALL_BLOCK, btree._MAX_BLOCKS
+        b = Bucket()
+        members = []
+        # the extremes lie in middle blocks: least left in block 4,
+        # greatest right in block 6
+        lefts, spans = (3, 5, 2, 7, 0, 6, 4, 8, 1, 9), (2, 3, 4, 2, 3, 2, 9, 2, 3, 2)
+        for k in range(cap + 2):
+            blk = [Interval(k * n + i, lefts[k] + i / n, lefts[k] + spans[k] + i / n)
+                   for i in range(n)]
+            members += blk
+            b.add_all(blk)
+            if k <= cap:
+                assert len(b.more) == k
+        # the tenth block makes one too many: all join the bucket's own
+        assert b.more == ()
+        assert b.size() == len(members) == (cap + 2) * n
+        assert b.extremes() == slot_extremes({iv.id: iv for iv in members})
+        assert [iv.id for iv in b.extremes()] == [4 * n, 6 * n + n - 1]
+        b.audit()
+
     def test_straddling_block_is_split_with_its_bounds(self):
         b = Bucket()
         b.add_all([Interval(1, 0, 5), Interval(2, 1, 9), Interval(3, 2, 6)])

@@ -93,6 +93,16 @@ class TestRun:
         assert out1 == out2
 
     @pytest.mark.parametrize(
+        "spec,flags",
+        [("fixed-chain:U=64,t=2", ("--method", "fixed-chain:t=2", "--universe", "64")),
+         ("grid:L=8,inner=dynamic", ("--method", "grid:inner=dynamic", "--L", "8"))],
+    )
+    def test_flags_fill_in_required_spec_params(self, capsys, tmp_path, spec, flags):
+        trace = write(tmp_path, "a.trace", SMALL_TRACE)
+        _, out1, _ = cli(capsys, "run", "--method", spec, "--trace", trace)
+        assert cli(capsys, "run", *flags, "--trace", trace) == (0, out1, "")
+
+    @pytest.mark.parametrize(
         "method", ["trivial", "unique", "dynamic:t=2", "eps:eps=0.5"]
     )
     def test_audited_run_over_random_trace(self, capsys, tmp_path, method):
@@ -590,6 +600,41 @@ class TestKinetic:
         scn = write(tmp_path, "empty.scn", "# nothing\n")
         code, _, _ = cli(capsys, "kinetic", "--scenario", scn, "--until", "4")
         assert code == 2
+
+
+_KNOWN = "dynamic, eps, fixed-chain, fixed-distinct, greedy-nested, grid, trivial, unique"
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [(("run", "--method", "nosuch"), f"unknown method 'nosuch' (known: {_KNOWN})"),
+     (("run", "--method", "dynamic:t"), "bad method parameter 't' in 'dynamic:t'"),
+     (("run", "--method", "dynamic:=2"), "bad method parameter '=2' in 'dynamic:=2'"),
+     (("run", "--method", "dynamic:t="), "bad method parameter 't=' in 'dynamic:t='"),
+     (("run", "--method", "dynamic:q=2"),
+      "unknown method parameter 'q' in 'dynamic:q=2'"),
+     (("run", "--method", "dynamic:q=2", "--t", "3"),
+      "unknown method parameter 'q' in 'dynamic:q=2'"),
+     (("run", "--method", "dynamic:t=two"),
+      "non-numeric value for 't' in 'dynamic:t=two'"),
+     (("run", "--method", "fixed-chain"), "method 'fixed-chain' needs ['universe']"),
+     (("run", "--method", "dynamic:U=8"), "method 'dynamic' does not take ['universe']"),
+     (("run", "--method", "grid:L=8,inner=nope"),
+      "inner engine must be one of ['dynamic', 'eps', 'trivial']"),
+     (("run", "--method", "trivial", "--t", "3"), "method 'trivial' does not take ['t']"),
+     (("run", "--method", "dynamic:t=1"), "minimum degree t must be at least 2"),
+     (("run", "--method", "eps:eps=1"), "eps must lie strictly between 0 and 1"),
+     (("run", "--method", "fixed-distinct:U=0"), "universe size must be at least 1"),
+     (("run", "--method", "grid:L=1"), "block length L must exceed 1"),
+     (("bench", "--method", "eps:eps=x", "--n", "4"),
+      "non-numeric value for 'eps' in 'eps:eps=x'"),
+     (("adversary", "--kind", "general", "--n", "16", "--engine", "unique:t=2"),
+      "method 'unique' does not take ['t']")],
+)
+def test_method_spec_rejection(capsys, tmp_path, argv, err):
+    if argv[0] == "run":
+        argv += ("--trace", write(tmp_path, "t.trace", SMALL_TRACE))
+    assert cli(capsys, *argv) == (2, "", f"error: {err}\n")
 
 
 class TestExitCodesAndSeed:

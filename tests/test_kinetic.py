@@ -14,6 +14,7 @@ from cfcolor.core import (
     EngineError,
     InvariantError,
     TraceError,
+    _union_segments,
     is_conflict_free,
     is_conflict_free_fast,
 )
@@ -235,9 +236,10 @@ class TestRandomScenarios:
         assert deltas > 300  # 424 with this seed
 
     def test_chain_segments_match_the_python_merge(self):
-        """The chain cover from the sorted ends (_chain_segments) against
-        the plain merge by left (_merged_chain), in both modes, between
-        events and at each crossing instant, where an RL pair abuts."""
+        """The chain cover from the members' ends, each sorted on its own,
+        as the batch audit's C2 merges them (_union_segments), against the
+        plain merge by left (_merged_chain), in both modes, between events
+        and at each crossing instant, where an RL pair abuts."""
         rng = random.Random(17)
         abut = 0
         for exact in (False, True):
@@ -246,7 +248,9 @@ class TestRandomScenarios:
                 km = KineticMaintainer(trajs, 0.0, 10.0, exact=exact)
                 while (rec := km.step()) is not None:
                     for t in (rec.t_eval, rec.event.time):
-                        starts, ends = km._chain_segments(t)
+                        lefts, rights = km._ends(t)
+                        mask = km._chain_mask
+                        starts, ends = _union_segments(np.sort(lefts[mask]), np.sort(rights[mask]))
                         merged = km._merged_chain(t)
                         assert [list(p) for p in zip(starts.tolist(), ends.tolist())] == merged
                     ev = rec.event
@@ -334,7 +338,7 @@ def test_kept_chain_order_matches_the_reference():
     """The chain order that step keeps equals _order's sort when each
     handler starts and after every event, and the escape test's walk over
     it (_covered_by_chain) gives the merged cover's answer
-    (_chain_segments) on every call: random scenarios in both modes, grids
+    (_merged_chain) on every call: random scenarios in both modes, grids
     whose batches share crossing times, and the lower bound's gadget
     sweep."""
     rng = random.Random(8)
@@ -358,10 +362,10 @@ def test_kept_chain_order_matches_the_reference():
 
         def covered(iid, km=km, walk=km._covered_by_chain):
             t, tr = km._order_t, km.trajs[iid]
-            starts, ends = km._chain_segments(t)
-            pos = int(starts.searchsorted(tr.left(t), side="right")) - 1
+            segs = km._merged_chain(t)
+            pos = bisect_right([start for start, _ in segs], tr.left(t)) - 1
             answers.append(walk(iid))
-            assert answers[-1] == (pos >= 0 and tr.right(t) <= ends[pos])
+            assert answers[-1] == (pos >= 0 and tr.right(t) <= segs[pos][1])
             return answers[-1]
 
         km._dispatch, km._covered_by_chain = dispatch, covered
