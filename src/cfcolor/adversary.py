@@ -328,8 +328,6 @@ def _play(driver: _Driver, next_round) -> AdversaryReport:
     """
     try:
         first = [driver.insert(2 * k, 2 * k + 1) for k in range(driver.n // 2)]
-        if not first:
-            return driver.report("too-small")
         driver.rounds.append(first)
         reason = None
         while reason is None:

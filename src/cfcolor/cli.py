@@ -1,19 +1,10 @@
 """Command-line surface: run, gen, bench, verify, adversary, kinetic.
 
-Log vocabulary (one record per line, `#` comments allowed):
-    I <id> <left> <right>     insert echoed from the trace
-    D <id>                    delete echoed from the trace
-    A <id> <level> <index>    initial color of a newly inserted interval
-    A <id> dummy
-    R <id> <level> <index>    recoloring of an already colored interval
-    R <id> dummy
-    E <t> <kind> <id1> <id2>  kinetic endpoint crossing
-    SUMMARY key=value ...     footer totals
-
-`run`, `bench` and `adversary` apply ops through one loop, core.replay;
-`run` and `adversary` pass it a _RecordingEngine, which writes the I/D
-and A/R records, and `verify` reads such logs through cfcolor.verify.
-`kinetic` streams the maintainer's own event loop.
+`run`, `bench` and `adversary` apply ops through one loop, core.replay.
+The logs of `run`, `adversary` and `kinetic` are written by cfcolor.verify,
+which holds their record vocabulary and the checker that `verify` calls.
+`gen` and `bench` draw traces from one table of generators keyed by input
+domain; `bench` takes each method's domain from cfcolor.methods.
 
 Exit codes: 0 ok, 1 conflict-freeness violation, 2 input error,
 3 internal invariant failure.
@@ -28,29 +19,16 @@ import os
 import random
 import sys
 import time
-from typing import TextIO
 
 from .adversary import check_tradeoff, run_general_adversary, run_local_adversary
-from .core import (
-    Color,
-    Delete,
-    EngineError,
-    Insert,
-    Interval,
-    InvariantError,
-    TraceError,
-    format_color,
-    format_number,
-    format_op,
-    parse_number,
-    parse_trace,
-    replay,
-)
+from .core import (EngineError, Insert, InvariantError, TraceError, format_number, format_op,
+                   parse_number, parse_trace, replay)
 from .kinetic import KineticMaintainer, format_scenario, lowerbound_scenario, parse_scenario
-from .methods import (INNER_NAMES, METHOD_KEYS, build_engine, method_label, parse_method_spec,
-                      split_method_spec, validate_method)
+from .methods import (BENCH_DOMAINS, INNER_NAMES, METHOD_KEYS, build_engine, method_label,
+                      parse_method_spec, split_method_spec, validate_method)
 from .online import nested_lowerbound_instance
-from .verify import check_run_log, run_summary
+from .verify import (RecordingEngine, check_run_log, run_summary, write_kinetic_log,
+                     write_summary)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -94,10 +72,6 @@ def _method_from_args(args) -> tuple[str, dict]:
     return validate_method(name, params)
 
 
-def _write_summary(out: TextIO, totals: dict) -> None:
-    out.write("SUMMARY " + " ".join(f"{k}={v}" for k, v in totals.items()) + "\n")
-
-
 def _size(n: int) -> int:
     """A --n value: every generator, driver and bench row needs one op."""
     if n < 1:
@@ -117,88 +91,94 @@ def cmd_run(args) -> int:
     engine = build_engine(_method_from_args(args))
     ops = parse_trace(_read_text(args.trace).splitlines())
     with _Out(args.out) as out:
-        verdict = replay(_RecordingEngine(engine, out), ops, args.audit)
+        verdict = replay(RecordingEngine(engine, out), ops, args.audit)
         if not verdict.ok:
             _report_conflict(verdict.witness, verdict.gap)
             return EXIT_VIOLATION
-        _write_summary(out, run_summary(engine.state))
+        write_summary(out, run_summary(engine.state))
     return EXIT_OK
 
 
-# ------------------------------------------------------------------- gen
+# ------------------------------------------------------------- gen, bench
 
 
-def _gen_random_ops(rng: random.Random, count: int, p_delete: float, span: float,
-                    min_len: float, max_len: float):
+def _trace_lines(rng: random.Random, count: int, p_delete: float, draw):
+    """count trace lines: with chance p_delete a delete of a random live
+    id, else an insert with the ends that draw() picks."""
     live: list[int] = []
     nid = 0
     for _ in range(count):
         if live and rng.random() < p_delete:
             yield f"D {live.pop(rng.randrange(len(live)))}"
         else:
-            a = rng.uniform(0.0, span)
-            length = rng.uniform(min_len, max_len)
-            yield f"I {nid} {format_number(round(a, 6))} {format_number(round(a + length, 6))}"
+            a, b = draw()
+            yield f"I {nid} {format_number(a)} {format_number(b)}"
             live.append(nid)
             nid += 1
+
+
+def _float_lines(rng, n, p_delete, min_len, max_len):
+    def draw():
+        a = rng.uniform(0.0, 4.0 * n)
+        return round(a, 6), round(a + rng.uniform(min_len, max_len), 6)
+    return _trace_lines(rng, n, p_delete, draw)
+
+
+def _random(rng, n, p_delete, params):
+    return _float_lines(rng, n, p_delete, 0.5, 8.0)
+
+
+def _bounded_length(rng, n, p_delete, params):
+    L = params.get("L")
+    if L is None:
+        raise EngineError("bounded-length needs --L")
+    if L <= 1:
+        raise EngineError("--L must exceed 1")
+    return _float_lines(rng, n, p_delete, 1.0, L - 1e-6)
+
+
+def _nested_lb(rng, n, p_delete, params):
+    return (format_op(Insert(iv)) for iv in nested_lowerbound_instance(n))
+
+
+def _universe(rng, n, p_delete, params):
+    u = params["universe"]
+    if u < 2:
+        raise EngineError(f"a universe trace needs U >= 2, got {u}")
+
+    def draw():
+        a = rng.randrange(0, u - 1)
+        return a, rng.randrange(a + 1, u)
+    return _trace_lines(rng, n, p_delete, draw)
+
+
+# input domain -> its trace-line generator (rng, n, p_delete, params)
+_TRACES = {
+    "random": _random,
+    "bounded-length": _bounded_length,
+    "nested-lb": _nested_lb,
+    "universe": _universe,
+}
 
 
 def cmd_gen(args) -> int:
     _size(args.n)
     rng = random.Random(args.seed)
     with _Out(args.out) as out:
-        if args.kind == "random":
-            for line in _gen_random_ops(
-                rng, args.n, args.p_delete, 4.0 * args.n, 0.5, 8.0
-            ):
-                out.write(line + "\n")
-        elif args.kind == "nested-lb":
-            for iv in nested_lowerbound_instance(args.n):
-                out.write(format_op(Insert(iv)) + "\n")
-        elif args.kind == "bounded-length":
-            if args.L is None:
-                raise EngineError("bounded-length needs --L")
-            if args.L <= 1:
-                raise EngineError("--L must exceed 1")
-            for line in _gen_random_ops(
-                rng, args.n, args.p_delete, 4.0 * args.n, 1.0, args.L - 1e-6
-            ):
-                out.write(line + "\n")
-        else:  # kinetic-lb
+        if args.kind == "kinetic-lb":
             trajs, horizon = lowerbound_scenario(args.n)
             out.write(f"# horizon {format_number(round(horizon, 6))}\n")
             out.write(format_scenario(trajs))
+        else:
+            for line in _TRACES[args.kind](rng, args.n, args.p_delete, {"L": args.L}):
+                out.write(line + "\n")
     return EXIT_OK
 
 
-# ------------------------------------------------------------------ bench
-
-
 def _bench_trace(name: str, params: dict, n: int, seed: int):
-    """Per-row deterministic trace respecting the method's input domain."""
+    """Per-row deterministic trace from the method's input domain."""
     rng = random.Random((seed * 1000003 + n) ^ 0x5F3759DF)
-    if name in ("fixed-distinct", "fixed-chain"):
-        u = int(params["universe"])
-        live: list[int] = []
-        nid = 0
-        ops = []
-        for _ in range(n):
-            if live and rng.random() < 0.3:
-                ops.append(Delete(live.pop(rng.randrange(len(live)))))
-            else:
-                a = rng.randrange(0, max(1, u - 1))
-                b = rng.randrange(a + 1, u)
-                ops.append(Insert(Interval(nid, a, b)))
-                live.append(nid)
-                nid += 1
-        return ops
-    if name == "grid":
-        lines = _gen_random_ops(rng, n, 0.3, 4.0 * n, 1.0, float(params["L"]) - 1e-6)
-        return parse_trace(lines)
-    if name == "greedy-nested":
-        return [Insert(iv) for iv in nested_lowerbound_instance(n)]
-    lines = _gen_random_ops(rng, n, 0.3, 4.0 * n, 0.5, 8.0)
-    return parse_trace(lines)
+    return parse_trace(_TRACES[BENCH_DOMAINS[name]](rng, n, 0.3, params))
 
 
 def cmd_bench(args) -> int:
@@ -227,8 +207,10 @@ def cmd_bench(args) -> int:
             label = method_label(name, params)
             _, param_part = (label.split(":", 1) + [""])[:2]
             for n in sizes:
-                ops = _bench_trace(name, params, n, args.seed)
+                # built first, so the engine's own parameter checks speak
+                # before the trace generator's (grid:L=1)
                 engine = build_engine((name, params))
+                ops = _bench_trace(name, params, n, args.seed)
                 started = time.perf_counter()
                 try:
                     replay(engine, ops)
@@ -265,35 +247,6 @@ def cmd_verify(args) -> int:
 # --------------------------------------------------------------- adversary
 
 
-class _RecordingEngine:
-    """Engine proxy that echoes I/D operations and A/R assignments to a sink.
-
-    `cfcolor run` and `cfcolor adversary` both write their logs through it.
-    """
-
-    def __init__(self, engine, sink: TextIO):
-        self.engine = engine
-        self.sink = sink
-
-        def hook(iid: int, color: Color, is_recolor: bool) -> None:
-            tag = "R" if is_recolor else "A"
-            sink.write(f"{tag} {iid} {format_color(color)}\n")
-
-        engine.state.on_assign = hook
-
-    @property
-    def state(self):
-        return self.engine.state
-
-    def insert(self, interval: Interval) -> None:
-        self.sink.write(format_op(Insert(interval)) + "\n")
-        self.engine.insert(interval)
-
-    def delete(self, iid: int) -> None:
-        self.sink.write(format_op(Delete(iid)) + "\n")
-        self.engine.delete(iid)
-
-
 def cmd_adversary(args) -> int:
     _size(args.n)
     if args.budget_c is not None and args.budget_c < 1:
@@ -304,7 +257,7 @@ def cmd_adversary(args) -> int:
     def factory():
         buf = io.StringIO()
         buffers.append(buf)
-        return _RecordingEngine(build_engine(spec), buf)
+        return RecordingEngine(build_engine(spec), buf)
 
     runner = run_general_adversary if args.kind == "general" else run_local_adversary
     report = runner(factory, args.n, budget_r=args.budget_r)
@@ -316,8 +269,8 @@ def cmd_adversary(args) -> int:
         out.write(
             f"# tradeoff c={c} r={report.max_recolor} consistent={verdict}\n"
         )
-        _write_summary(out, {"colors": report.colors_used, "max_recolor": report.max_recolor,
-                             "rounds": report.rounds_played})
+        write_summary(out, {"colors": report.colors_used, "max_recolor": report.max_recolor,
+                            "rounds": report.rounds_played})
     if not report.cf_ok:
         _report_conflict(report.cf_witness, report.cf_gap)
         return EXIT_VIOLATION
@@ -333,18 +286,7 @@ def cmd_kinetic(args) -> int:
         raise EngineError("scenario has no trajectories")
     km = KineticMaintainer(trajs, 0.0, args.until, exact=args.exact)
     with _Out(args.out) as out:
-        for iid in sorted(km.colors):
-            out.write(f"A {iid} {format_color(km.colors[iid])}\n")
-        for rec in km._iter_run(args.audit):
-            ev = rec.event
-            out.write(
-                "E {} {} {} {}\n".format(
-                    format_number(round(float(ev.time), 6)), ev.kind, ev.id1, ev.id2
-                )
-            )
-            for iid, color in rec.recolored:
-                out.write(f"R {iid} {format_color(color)}\n")
-        _write_summary(out, km.summary())
+        write_kinetic_log(km, out, args.audit)
     return EXIT_OK
 
 
@@ -436,18 +378,12 @@ def main(argv=None) -> int:
             return EXIT_INPUT
     try:
         return args.func(args)
-    except TraceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except EngineError as exc:
+    except (TraceError, EngineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

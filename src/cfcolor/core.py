@@ -16,7 +16,7 @@ from collections.abc import ValuesView
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Protocol, Union
+from typing import Callable, Iterable, Mapping, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -43,6 +43,7 @@ __all__ = [
     "parse_number",
     "format_number",
     "format_color",
+    "parse_op",
     "parse_trace",
     "format_trace",
 ]
@@ -886,6 +887,23 @@ def format_color(color: Color) -> str:
     return f"{color.level} {color.index}"
 
 
+def parse_op(parts: Sequence[str]) -> Op:
+    """One `I <id> <left> <right>` or `D <id>` record, split into fields.
+
+    Raises ValueError naming what is wrong; the callers add the line number.
+    """
+    tag = parts[0]
+    if tag == "I":
+        if len(parts) != 4:
+            raise ValueError("expected 'I <id> <left> <right>'")
+        return Insert(Interval(int(parts[1]), parse_number(parts[2]), parse_number(parts[3])))
+    if tag == "D":
+        if len(parts) != 2:
+            raise ValueError("expected 'D <id>'")
+        return Delete(int(parts[1]))
+    raise ValueError(f"unknown op {tag!r}")
+
+
 def parse_trace(lines: Iterable[str]) -> list[Op]:
     """Parse the line-based update trace format.
 
@@ -894,28 +912,11 @@ def parse_trace(lines: Iterable[str]) -> list[Op]:
     """
     ops: list[Op] = []
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0].startswith("#"):
             continue
-        parts = line.split()
-        tag = parts[0]
         try:
-            if tag == "I":
-                if len(parts) != 4:
-                    raise ValueError("expected: I <id> <left> <right>")
-                ops.append(
-                    Insert(
-                        Interval(
-                            int(parts[1]), parse_number(parts[2]), parse_number(parts[3])
-                        )
-                    )
-                )
-            elif tag == "D":
-                if len(parts) != 2:
-                    raise ValueError("expected: D <id>")
-                ops.append(Delete(int(parts[1])))
-            else:
-                raise ValueError(f"unknown op {tag!r}")
+            ops.append(parse_op(parts))
         except ValueError as exc:
             raise TraceError(lineno, str(exc)) from None
     return ops

@@ -2,9 +2,11 @@
 
 A spec is `name` or `name:key=value,key=value`, e.g. `dynamic:t=2`,
 `fixed-chain:U=4096,t=8`, `grid:L=8,inner=trivial`.  One row of _METHODS
-holds all that a method's name means: its engine, its required keys and
-its optional keys with their defaults, in the engine's argument order.
-_KEYS lists every key with the conversion build_engine applies to it.
+holds all that a method's name means: its engine, its required keys, its
+optional keys with their defaults, in the engine's argument order, and the
+input domain that `cfcolor bench` draws its traces from.  _KEYS lists every
+key with the conversion build_engine applies to it; a key whose conversion
+is int takes only an integer.
 The CLI's per-flag form uses the same keys: flags override or fill in
 the keys of a spec, and the merged parameters are validated once.
 """
@@ -50,20 +52,22 @@ class _Method(NamedTuple):
     engine: type
     required: tuple[str, ...]
     optional: dict  # key -> default
+    domain: str  # bench input: random, bounded-length, nested-lb or universe
 
 
 _METHODS = {
-    "fixed-distinct": _Method(FixedDistinctEngine, ("universe",), {"t": 2}),
-    "fixed-chain": _Method(FixedChainEngine, ("universe",), {"t": 2}),
-    "dynamic": _Method(DynamicEngine, (), {"t": 2}),
-    "eps": _Method(EpsilonEngine, (), {"eps": 0.5}),
-    "grid": _Method(GridEngine, ("L",), {"inner": "trivial"}),
-    "greedy-nested": _Method(OnlineNestedEngine, (), {}),
-    "trivial": _Method(TrivialEngine, (), {}),
-    "unique": _Method(UniqueColorEngine, (), {}),
+    "fixed-distinct": _Method(FixedDistinctEngine, ("universe",), {"t": 2}, "universe"),
+    "fixed-chain": _Method(FixedChainEngine, ("universe",), {"t": 2}, "universe"),
+    "dynamic": _Method(DynamicEngine, (), {"t": 2}, "random"),
+    "eps": _Method(EpsilonEngine, (), {"eps": 0.5}, "random"),
+    "grid": _Method(GridEngine, ("L",), {"inner": "trivial"}, "bounded-length"),
+    "greedy-nested": _Method(OnlineNestedEngine, (), {}, "nested-lb"),
+    "trivial": _Method(TrivialEngine, (), {}, "random"),
+    "unique": _Method(UniqueColorEngine, (), {}, "random"),
 }
 
 METHOD_NAMES = tuple(sorted(_METHODS))
+BENCH_DOMAINS = {name: method.domain for name, method in _METHODS.items()}
 
 
 def split_method_spec(spec: str) -> tuple[str, dict]:
@@ -106,6 +110,9 @@ def validate_method(name: str, params: dict) -> tuple[str, dict]:
     extra = params.keys() - set(method.required) - method.optional.keys()
     if extra:
         raise EngineError(f"method {name!r} does not take {sorted(extra)}")
+    for key, value in params.items():
+        if _KEYS[key] is int and not isinstance(value, int):
+            raise EngineError(f"method parameter {key!r} must be an integer, got {value}")
     if "inner" in params and params["inner"] not in _INNER_FACTORIES:
         raise EngineError(f"inner engine must be one of {sorted(_INNER_FACTORIES)}")
     return name, params

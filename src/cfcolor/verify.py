@@ -1,15 +1,74 @@
-"""Run-log checker: replay a `cfcolor run` or `cfcolor adversary` log (the
-record vocabulary is in cfcolor.cli) on a bare ColoringState, with no engine
-in the loop, and recount its SUMMARY totals."""
+"""Run logs: their writers and their checker.
+
+Log vocabulary (one record per line, `#` comments allowed):
+    I <id> <left> <right>     insert echoed from the trace
+    D <id>                    delete echoed from the trace
+    A <id> <level> <index>    initial color of a newly inserted interval
+    A <id> dummy
+    R <id> <level> <index>    recoloring of an already colored interval
+    R <id> dummy
+    E <t> <kind> <id1> <id2>  kinetic endpoint crossing
+    SUMMARY key=value ...     footer totals
+
+`cfcolor run` and `cfcolor adversary` write their logs through
+RecordingEngine and write_summary, and `cfcolor kinetic` through
+write_kinetic_log.  check_run_log replays a run or adversary log on a bare
+ColoringState, with no engine in the loop, and recounts its SUMMARY totals.
+"""
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, TextIO
 
 from .core import (DUMMY, Color, ColoringState, Delete, Insert, Interval, Op, TraceError,
-                   Verdict, format_color, is_conflict_free_fast, parse_number)
+                   Verdict, format_color, format_number, format_op, is_conflict_free_fast,
+                   parse_op)
 
-__all__ = ["check_run_log", "run_summary"]
+__all__ = ["RecordingEngine", "check_run_log", "run_summary", "write_kinetic_log",
+           "write_summary"]
+
+
+class RecordingEngine:
+    """Engine proxy that echoes I/D operations and A/R assignments to a sink."""
+
+    def __init__(self, engine, sink: TextIO):
+        self.engine = engine
+        self.sink = sink
+
+        def hook(iid: int, color: Color, is_recolor: bool) -> None:
+            tag = "R" if is_recolor else "A"
+            sink.write(f"{tag} {iid} {format_color(color)}\n")
+
+        engine.state.on_assign = hook
+
+    @property
+    def state(self):
+        return self.engine.state
+
+    def insert(self, interval: Interval) -> None:
+        self.sink.write(format_op(Insert(interval)) + "\n")
+        self.engine.insert(interval)
+
+    def delete(self, iid: int) -> None:
+        self.sink.write(format_op(Delete(iid)) + "\n")
+        self.engine.delete(iid)
+
+
+def write_summary(out: TextIO, totals: dict) -> None:
+    out.write("SUMMARY " + " ".join(f"{k}={v}" for k, v in totals.items()) + "\n")
+
+
+def write_kinetic_log(km, out: TextIO, audit: str | None) -> None:
+    """Run a KineticMaintainer, auditing as `audit` says, and log it: the
+    initial A records, each event's E record and its R records, SUMMARY."""
+    for iid in sorted(km.colors):
+        out.write(f"A {iid} {format_color(km.colors[iid])}\n")
+    for rec in km._iter_run(audit):
+        ev = rec.event
+        out.write(f"E {format_number(round(float(ev.time), 6))} {ev.kind} {ev.id1} {ev.id2}\n")
+        for iid, color in rec.recolored:
+            out.write(f"R {iid} {format_color(color)}\n")
+    write_summary(out, km.summary())
 
 
 def run_summary(state: ColoringState) -> dict[str, int]:
@@ -31,16 +90,6 @@ def _audit(state: ColoringState, op: Op | None, lineno: int) -> Verdict:
     if isinstance(op, Insert) and op.interval.id not in state.assignment:
         raise TraceError(lineno, f"interval {op.interval.id} was never assigned a color")
     return is_conflict_free_fast(state.intervals.values(), state.assignment)
-
-
-def _parse_op(tag: str, parts: list[str]) -> Op:
-    if tag == "I":
-        if len(parts) != 4:
-            raise ValueError("expected 'I <id> <left> <right>'")
-        return Insert(Interval(int(parts[1]), parse_number(parts[2]), parse_number(parts[3])))
-    if len(parts) != 2:
-        raise ValueError("expected 'D <id>'")
-    return Delete(int(parts[1]))
 
 
 def _apply_color(state: ColoringState, op: Op | None, tag: str, parts: list[str]) -> None:
@@ -109,7 +158,7 @@ def check_run_log(lines: Sequence[str], trace: Sequence[Op] | None = None) -> Ve
             op = None
         try:
             if tag in ("I", "D"):
-                op = _parse_op(tag, parts)
+                op = parse_op(parts)
                 if trace is not None and (count >= len(trace) or trace[count] != op):
                     kind = "insert" if tag == "I" else "delete"
                     raise ValueError(f"log {kind} does not match the trace")

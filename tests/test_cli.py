@@ -419,7 +419,15 @@ class TestVerify:
         assert cli(capsys, *argv) == (2, "", f"verify: {err}\n")
 
 
+HEADER = "method,n,params,colors,recolor_total,recolor_max,recolor_amortized,wall_time\n"
+
+
 class TestBench:
+    @pytest.mark.parametrize("spec,n", [("fixed-distinct:U=1", "5"), ("fixed-chain:U=1", "3")])
+    def test_one_point_universe_is_an_input_error(self, capsys, spec, n):
+        assert cli(capsys, "bench", "--method", spec, "--n", n) == (
+            2, HEADER, "error: a universe trace needs U >= 2, got 1\n")
+
     def test_header_and_rows(self, capsys):
         code, out, _ = cli(
             capsys, "bench", "--method", "dynamic:t=2", "--method", "trivial",
@@ -629,7 +637,12 @@ _KNOWN = "dynamic, eps, fixed-chain, fixed-distinct, greedy-nested, grid, trivia
      (("bench", "--method", "eps:eps=x", "--n", "4"),
       "non-numeric value for 'eps' in 'eps:eps=x'"),
      (("adversary", "--kind", "general", "--n", "16", "--engine", "unique:t=2"),
-      "method 'unique' does not take ['t']")],
+      "method 'unique' does not take ['t']"),
+     (("run", "--method", "fixed-chain:U=300.7,t=3.9"),
+      "method parameter 'universe' must be an integer, got 300.7"),
+     (("run", "--method", "dynamic:t=2.5"), "method parameter 't' must be an integer, got 2.5"),
+     (("run", "--method", "fixed-distinct:U=2.5"),
+      "method parameter 'universe' must be an integer, got 2.5")],
 )
 def test_method_spec_rejection(capsys, tmp_path, argv, err):
     if argv[0] == "run":
@@ -654,6 +667,21 @@ class TestExitCodesAndSeed:
         trace = write(tmp_path, "deg.trace", "I 0 5 5\n")
         code, _, err = cli(capsys, "run", "--method", "trivial", "--trace", trace)
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "text,err",
+        [pytest.param("I 0 1\n", "line 1: expected 'I <id> <left> <right>'", id="I-arity"),
+         pytest.param("D 0 1\n", "line 1: expected 'D <id>'", id="D-arity"),
+         pytest.param("Q 0\n", "line 1: unknown op 'Q'", id="unknown-op"),
+         pytest.param("I x 1 2\n", "line 1: invalid literal for int() with base 10: 'x'",
+                      id="non-integer-id"),
+         pytest.param("I 0 5 1\n", "line 1: interval 0: left must be < right, got [5, 1]",
+                      id="reversed-ends")],
+    )
+    def test_trace_rejection(self, capsys, tmp_path, text, err):
+        trace = write(tmp_path, "bad.trace", text)
+        assert cli(capsys, "run", "--method", "trivial", "--trace", trace) == (
+            2, "", f"error: {err}\n")
 
     def test_env_seed_overrides_flag(self, capsys, monkeypatch):
         monkeypatch.setenv("CFCOLOR_SEED", "42")

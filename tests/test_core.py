@@ -327,8 +327,8 @@ class TestDummyFold:
 
     def test_union_segments(self):
         def segments(*ivs, dtype=np.float64):
-            """The union from ends sorted on their own, as _chain_segments
-            has them; the same from the runs of the ends, as the fast
+            """The union from ends sorted on their own, as the kinetic batch
+            audit's C2 has them; the same from the runs of the ends, as the fast
             oracle has them, and from the ends with every count 1, must
             agree."""
             lefts, rights = (np.sort(np.array(e, dtype=dtype)) for e in zip(*ivs))
@@ -362,7 +362,7 @@ class TestDummyFold:
         assert [e.size for e in _union_segments(empty, empty, none, none)] == [0, 0]
         assert [e.size for e in _union_segments(empty, empty)] == [0, 0]
         # the kinetic chain cover's shapes, each sorted on its own as
-        # _chain_segments does, in float64 and in exact mode's Fractions
+        # the kinetic batch audit's C2 does, in float64 and in exact mode's Fractions
         shapes = [
             # rights out of left order: an early long member outlasts later ones
             [(0, 10), (1, 2), (3, 4)],
@@ -446,6 +446,22 @@ class TestBeyondFloat64:
             assignment = dict(enumerate(colors))
             assert is_conflict_free(ivs, assignment).ok == ok
             assert is_conflict_free_fast(ivs, assignment) == is_conflict_free(ivs, assignment)
+
+    @pytest.mark.parametrize("end", [10**400, Fraction(10**400, 3)], ids=["int", "fraction"])
+    def test_end_beyond_the_float_range_on_a_list_and_on_a_state(self, end):
+        # float(end) overflows: the state counts it as inexact and sweeps
+        ivs = [Interval(0, 0, end), Interval(1, 1, 2)]
+        for colors in ((RED, RED), (RED, BLUE)):
+            assignment = dict(enumerate(colors))
+            slow = is_conflict_free(ivs, assignment)
+            assert slow.ok == (colors == (RED, BLUE))
+            assert is_conflict_free_fast(ivs, assignment) == slow
+            state = ColoringState()
+            for iv in ivs:
+                state.add(iv)
+                state.set_color(iv.id, assignment[iv.id])
+            assert state._inexact_live == 1
+            assert is_conflict_free_fast(state.intervals.values(), state.assignment) == slow
 
     def test_large_values_that_are_floats_agree(self):
         # beyond 2**53 but exact: 2**60 + 2**8 is a float64

@@ -386,3 +386,20 @@ def test_a_fraction_end_keeps_the_state_on_the_sweep():
     assert outcomes(state)[0] == outcomes(state)[2]
     assert state._cols is not None
     check_cache(state)
+
+
+def test_own_view_with_a_foreign_assignment_takes_the_list_path():
+    rng = random.Random(3)
+    state = ColoringState()
+    for iid in range(40):
+        state.add(_interval(rng, iid))
+        state.set_color(iid, rng.choice(PALETTE))
+    # a color of its own for each interval is conflict-free; random ones are not
+    foreigns = [{iid: Color(0, iid) for iid in state.intervals}]
+    foreigns += [{iid: rng.choice(PALETTE) for iid in state.intervals} for _ in range(5)]
+    for foreign in foreigns:
+        fast = is_conflict_free_fast(state.intervals.values(), foreign)
+        assert fast == is_conflict_free(list(state.intervals.values()), foreign)
+        assert fast.ok == (foreign is foreigns[0])
+        # no cache was built from the state's own assignment
+        assert state._cols is None

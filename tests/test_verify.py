@@ -10,7 +10,7 @@ import pytest
 from cfcolor import cli
 from cfcolor.core import TraceError, replay
 from cfcolor.methods import METHOD_NAMES, build_engine, validate_method
-from cfcolor.verify import check_run_log, run_summary
+from cfcolor.verify import RecordingEngine, check_run_log, run_summary, write_summary
 
 PARAMS = {"fixed-distinct": {"universe": 256}, "fixed-chain": {"universe": 256},
           "grid": {"L": 8}}
@@ -24,9 +24,9 @@ def record(name: str, seed: int):
     ops = cli._bench_trace(*spec, 300, seed)
     engine = build_engine(spec)
     sink = io.StringIO()
-    assert replay(cli._RecordingEngine(engine, sink), ops).ok
+    assert replay(RecordingEngine(engine, sink), ops).ok
     totals = run_summary(engine.state)
-    sink.write("SUMMARY " + " ".join(f"{k}={v}" for k, v in totals.items()) + "\n")
+    write_summary(sink, totals)
     return sink.getvalue().splitlines(), ops, totals
 
 
