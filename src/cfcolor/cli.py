@@ -189,6 +189,12 @@ def cmd_bench(args) -> int:
         raise EngineError(f"bad --n list {args.sizes!r}") from None
     if not sizes:
         raise EngineError("--n needs at least one size")
+    # every row's input errors come out before any output: its engine's
+    # own parameter checks first (grid:L=1), then its trace domain's
+    # (a one-point universe), on a one-op trace
+    for spec in specs:
+        build_engine(spec)
+        _bench_trace(*spec, 1, args.seed)
     with _Out(args.out) as out:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(
@@ -207,8 +213,6 @@ def cmd_bench(args) -> int:
             label = method_label(name, params)
             _, param_part = (label.split(":", 1) + [""])[:2]
             for n in sizes:
-                # built first, so the engine's own parameter checks speak
-                # before the trace generator's (grid:L=1)
                 engine = build_engine((name, params))
                 ops = _bench_trace(name, params, n, args.seed)
                 started = time.perf_counter()

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import weakref
 from collections import deque
-from collections.abc import ValuesView
+from collections.abc import Sequence, ValuesView
 from dataclasses import dataclass, field
 from operator import attrgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Protocol, Sequence, Union
+from typing import Callable, Iterable, Mapping, Protocol, Union
 
 import numpy as np
 
@@ -49,7 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Color:
     """A palette color (level, index).  Level -1 index -1 is the dummy."""
 
@@ -68,7 +68,7 @@ class Color:
 DUMMY = Color(-1, -1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A closed interval [left, right] with a unique integer id."""
 
@@ -101,12 +101,12 @@ class Interval:
         return self.right - self.left
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Insert:
     interval: Interval
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Delete:
     id: int
 
@@ -130,7 +130,7 @@ class TraceError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     """Outcome of a conflict-freeness check; witness is a violating point.
 
@@ -165,37 +165,83 @@ class RecolorLedger:
     A recoloring is a color change of an interval that already had a color;
     the initial coloring right after an insertion is free.  Counts noted
     before the first begin() go to an implicit record 0.
+
+    The ledger keeps one int per update (its recolorings) and a dict of
+    rebuild recolorings by seq for the few updates that have any, with
+    running totals and maxima, so total(), max_per_update() and
+    amortized() cost O(1).  records is a read-only view of UpdateRecord
+    snapshots, each built on access.
     """
 
-    def __init__(self):
-        self.records: list[UpdateRecord] = []
+    __slots__ = ("_counts", "_rebuilds", "_total", "_rebuild_total", "_max", "_max_all")
 
-    def begin(self) -> UpdateRecord:
-        rec = UpdateRecord(len(self.records))
-        self.records.append(rec)
-        return rec
+    def __init__(self):
+        self._counts: list[int] = []
+        self._rebuilds: dict[int, int] = {}
+        self._total = self._rebuild_total = 0
+        # largest per-update count without and with rebuild recolorings
+        self._max = self._max_all = 0
+
+    @property
+    def records(self) -> Sequence[UpdateRecord]:
+        return _LedgerRecords(self)
+
+    def begin(self) -> None:
+        self._counts.append(0)
 
     def note(self, rebuild: bool = False) -> None:
-        if not self.records:
-            self.begin()
-        rec = self.records[-1]
+        counts = self._counts
+        if not counts:
+            counts.append(0)
+        seq = len(counts) - 1
         if rebuild:
-            rec.rebuild_recolors += 1
+            extra = self._rebuilds[seq] = self._rebuilds.get(seq, 0) + 1
+            self._rebuild_total += 1
+            count = counts[seq]
         else:
-            rec.recolors += 1
+            count = counts[seq] = counts[seq] + 1
+            self._total += 1
+            if count > self._max:
+                self._max = count
+            extra = self._rebuilds.get(seq, 0)
+        if count + extra > self._max_all:
+            self._max_all = count + extra
 
     def total(self, include_rebuild: bool = True) -> int:
-        return sum(r.count(include_rebuild) for r in self.records)
+        return self._total + self._rebuild_total if include_rebuild else self._total
 
     def max_per_update(self, include_rebuild: bool = True) -> int:
-        if not self.records:
-            return 0
-        return max(r.count(include_rebuild) for r in self.records)
+        return self._max_all if include_rebuild else self._max
 
     def amortized(self, include_rebuild: bool = True) -> float:
-        if not self.records:
+        if not self._counts:
             return 0.0
-        return self.total(include_rebuild) / len(self.records)
+        return self.total(include_rebuild) / len(self._counts)
+
+
+class _LedgerRecords(Sequence):
+    """A RecolorLedger's updates as UpdateRecord snapshots, oldest first."""
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: RecolorLedger):
+        self._ledger = ledger
+
+    def __len__(self) -> int:
+        return len(self._ledger._counts)
+
+    def _record(self, seq: int) -> UpdateRecord:
+        return UpdateRecord(seq, self._ledger._counts[seq], self._ledger._rebuilds.get(seq, 0))
+
+    def __getitem__(self, k):
+        # range does the index arithmetic: negative k, slices, IndexError
+        seqs = range(len(self._ledger._counts))[k]
+        if isinstance(seqs, range):
+            return [self._record(seq) for seq in seqs]
+        return self._record(seqs)
+
+    def __iter__(self):
+        return map(self._record, range(len(self._ledger._counts)))
 
 
 # A patch costs about what a rebuild costs once a quarter of the live ids

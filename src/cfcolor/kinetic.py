@@ -114,7 +114,7 @@ _CODE = {c: k for k, c in enumerate(_PALETTE)}
 _NONDUMMY = np.array([not c.is_dummy() for c in _PALETTE])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Trajectory:
     """Interval [a0 + va*t, b0 + vb*t]; endpoints move independently."""
 
@@ -355,7 +355,7 @@ class _ColorView(Mapping):
         return len(self._vpos)
 
 
-@dataclass
+@dataclass(slots=True)
 class EventRecord:
     event: Event
     added: int | None

@@ -10,7 +10,7 @@ import itertools
 import random
 from bisect import bisect_right
 
-from cfcolor.core import DUMMY, Color, Delete, Insert, Interval
+from cfcolor.core import DUMMY, Color, Delete, Insert, Interval, UpdateRecord
 from cfcolor.kinetic import Event
 
 
@@ -164,3 +164,36 @@ def compute_events_loop(trajectories, t0, until) -> list[Event]:
             out.append(Event(t, kind, i1, i2, nxt))
     out.reverse()
     return out
+
+
+class ListLedger:
+    """RecolorLedger as one live UpdateRecord per update, every query a scan.
+
+    Notes made before the first begin() go to an implicit record 0.
+    """
+
+    def __init__(self):
+        self.records: list[UpdateRecord] = []
+
+    def begin(self) -> None:
+        self.records.append(UpdateRecord(len(self.records)))
+
+    def note(self, rebuild: bool = False) -> None:
+        if not self.records:
+            self.begin()
+        rec = self.records[-1]
+        if rebuild:
+            rec.rebuild_recolors += 1
+        else:
+            rec.recolors += 1
+
+    def total(self, include_rebuild: bool = True) -> int:
+        return sum(r.count(include_rebuild) for r in self.records)
+
+    def max_per_update(self, include_rebuild: bool = True) -> int:
+        return max((r.count(include_rebuild) for r in self.records), default=0)
+
+    def amortized(self, include_rebuild: bool = True) -> float:
+        if not self.records:
+            return 0.0
+        return self.total(include_rebuild) / len(self.records)

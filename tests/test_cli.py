@@ -419,14 +419,26 @@ class TestVerify:
         assert cli(capsys, *argv) == (2, "", f"verify: {err}\n")
 
 
-HEADER = "method,n,params,colors,recolor_total,recolor_max,recolor_amortized,wall_time\n"
+BENCH_INPUT_ERRORS = {
+    "fixed-distinct:U=1": "a universe trace needs U >= 2, got 1",
+    "fixed-chain:U=1": "a universe trace needs U >= 2, got 1",
+    "grid:L=1": "block length L must exceed 1",
+}
 
 
 class TestBench:
-    @pytest.mark.parametrize("spec,n", [("fixed-distinct:U=1", "5"), ("fixed-chain:U=1", "3")])
+    @pytest.mark.parametrize(
+        "spec,n", [("fixed-distinct:U=1", "5"), ("fixed-chain:U=1", "3"), ("grid:L=1", "3")])
     def test_one_point_universe_is_an_input_error(self, capsys, spec, n):
-        assert cli(capsys, "bench", "--method", spec, "--n", n) == (
-            2, HEADER, "error: a universe trace needs U >= 2, got 1\n")
+        # a valid row first: no row's output may come before the error
+        assert cli(capsys, "bench", "--method", "trivial", "--method", spec, "--n", n) == (
+            2, "", f"error: {BENCH_INPUT_ERRORS[spec]}\n")
+
+    def test_input_error_writes_no_out_file(self, capsys, tmp_path):
+        out = tmp_path / "bench.csv"
+        assert cli(capsys, "bench", "--method", "trivial", "--method", "grid:L=1",
+                   "--n", "3", "--out", str(out))[0] == 2
+        assert not out.exists()
 
     def test_header_and_rows(self, capsys):
         code, out, _ = cli(

@@ -29,7 +29,8 @@ from cfcolor.core import (
     parse_trace,
     stabbing_set,
 )
-from helpers import all_stabbing_sets, naive_conflict_free, random_instance
+from cfcolor.kinetic import Event, EventRecord, Trajectory
+from helpers import ListLedger, all_stabbing_sets, naive_conflict_free, random_instance
 
 RED = Color(0, 0)
 BLUE = Color(0, 1)
@@ -62,6 +63,15 @@ class TestIntervalAndColor:
         assert DUMMY.is_dummy()
         assert not Color(0, 0).is_dummy()
         assert sorted([Color(0, 0), DUMMY]) == [DUMMY, Color(0, 0)]
+
+    @pytest.mark.parametrize("value", [
+        Interval(1, 0, 2), Insert(Interval(1, 0, 2)), Delete(1), Color(0, 1), Verdict(True),
+        Trajectory(1, 0.0, 1.0, 2.0, 1.0),
+        EventRecord(Event(1.0, "LL", 0, 1), None, [], [(0, Color(0, 1))], 1.0),
+    ], ids=lambda value: type(value).__name__)
+    def test_per_update_values_are_slotted(self, value):
+        # one of each is made per op, per update or per event: no instance dict
+        assert not hasattr(value, "__dict__")
 
 
 class TestElementaryRegions:
@@ -513,6 +523,45 @@ class TestLedgerAndState:
             led.note()
         assert [r.recolors for r in led.records] == [1, 1, 1]
         assert led.total() == 3 and led.amortized() == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from(["begin", "note", "rebuild"]), max_size=60),
+           st.integers(-70, 70), st.integers(-70, 70))
+    def test_ledger_agrees_with_a_list_of_records(self, calls, i, j):
+        led, ref = RecolorLedger(), ListLedger()
+        for call in calls:  # may start with notes before any begin()
+            for ledger in (led, ref):
+                if call == "begin":
+                    ledger.begin()
+                else:
+                    ledger.note(rebuild=call == "rebuild")
+        for include in (False, True):
+            assert led.total(include) == ref.total(include)
+            assert led.max_per_update(include) == ref.max_per_update(include)
+            assert led.amortized(include) == ref.amortized(include)
+        assert len(led.records) == len(ref.records)
+        assert list(led.records) == ref.records
+        assert led.records[i:j] == ref.records[i:j]
+        assert led.records[j:i:-2] == ref.records[j:i:-2]
+        if ref.records:
+            assert led.records[-1] == ref.records[-1]
+            assert led.records[i % len(ref.records)] == ref.records[i % len(ref.records)]
+        for k in (len(ref.records), -len(ref.records) - 1):
+            with pytest.raises(IndexError):
+                led.records[k]
+
+    def test_ledger_records_are_a_read_only_view(self):
+        led = RecolorLedger()
+        view = led.records
+        led.begin()
+        led.note()
+        assert len(view) == 1 and view[-1].recolors == 1
+        view[-1].recolors = 5  # a snapshot: the ledger keeps its count
+        assert led.records[-1].recolors == 1 and led.total() == 1
+        with pytest.raises(AttributeError):
+            led.records = []
+        with pytest.raises(TypeError):
+            view[0] = view[0]
 
     def test_colors_seen_accumulates(self):
         st_ = ColoringState()
